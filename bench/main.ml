@@ -273,10 +273,8 @@ let section ?(counters = true) title f =
              scale/jobs, so all non-zero deltas ride into the baseline.
              The exceptions: the pool's steal-traffic family (which worker
              claims which chunk depends on OS scheduling) and the
-             speculation family ([spec.wasted_ns] is wall-clock, and the
-             rest fire only when a pool is lent, which depends on the
-             jobs/core configuration) — those vary run to run and must
-             not be gated. *)
+             speculation family (it fires only when a pool is lent, which
+             depends on the jobs value) — those must not be gated. *)
           let nondeterministic = function
             | "pool.steals" | "pool.tasks_stolen" | "pool.busy_ns" -> true
             | k -> String.length k >= 5 && String.sub k 0 5 = "spec."
@@ -408,195 +406,22 @@ let index_rungs =
   | None -> base
   | Some cap -> List.sort_uniq compare (List.map (fun r -> min r cap) base)
 
-(* ------------------------------------------------------------------ *)
-(* Pool executor: static striping vs work stealing on a skewed cell mix.
-   One pathological instance among many cheap ones is exactly the shape
-   that idles a static stripe — every cell behind the slow one waits for
-   its worker while the other domains sit finished.  Both executors are
-   raced on the same cells with the probes on; per-worker busy time comes
-   from the [pool.worker] spans, and imbalance is max/mean worker busy.
-   All numbers are machine-speed (and core-count) dependent, so they ride
-   as metrics — reported by bench/compare.exe, never gated.  On a machine
-   with fewer cores than [pool_jobs] both strategies serialize and the
-   speedup collapses to ~1x; the imbalance contrast still shows. *)
-
-let bench_pool () =
-  let module Pool = Mp_prelude.Pool in
-  let pool_jobs = 4 and reps = 5 and n_cheap = 48 in
-  let cheap = instance_of { Dag_gen.default with n = 16 } in
-  let heavy = instance_of { Dag_gen.default with n = 150 } in
-  let cells = Array.of_list (heavy :: List.init n_cheap (fun _ -> cheap)) in
-  let run_cell (env, dag) = Schedule.turnaround (Ressched.schedule env dag) in
-  (* Sequential reference: warms the instances and pins the contract —
-     both executors must reproduce it bit for bit. *)
-  let reference = Array.map run_cell cells in
-  let race strategy =
-    Pool.with_pool ~strategy ~jobs:pool_jobs (fun p ->
-        let best_wall = ref infinity and best_imb = ref 1.0 in
-        for _ = 1 to reps do
-          Mp_obs.with_enabled (fun () ->
-              let s0 = Mp_obs.Snapshot.take () in
-              let t0 = Unix.gettimeofday () in
-              let out = Pool.map_array p run_cell cells in
-              let wall = Unix.gettimeofday () -. t0 in
-              let delta = Mp_obs.Snapshot.sub (Mp_obs.Snapshot.take ()) ~earlier:s0 in
-              if out <> reference then failwith "Pool bench: executor output diverged";
-              let busy = Hashtbl.create 8 in
-              List.iter
-                (fun (e : Mp_obs.Snapshot.event) ->
-                  if e.span_name = "pool.worker" then
-                    Hashtbl.replace busy e.domain
-                      (e.dur_ns + Option.value ~default:0 (Hashtbl.find_opt busy e.domain)))
-                delta.Mp_obs.Snapshot.events;
-              let workers = Hashtbl.length busy in
-              let total = Hashtbl.fold (fun _ v acc -> acc + v) busy 0 in
-              let mx = Hashtbl.fold (fun _ v acc -> max acc v) busy 0 in
-              let imb =
-                if total = 0 then 1.0
-                else float_of_int (mx * workers) /. float_of_int total
-              in
-              if wall < !best_wall then begin
-                best_wall := wall;
-                best_imb := imb
-              end)
-        done;
-        (!best_wall, !best_imb))
-  in
-  let static_wall, static_imb = race Pool.Static in
-  let steal_wall, steal_imb = race Pool.Steal in
-  let speedup = if steal_wall > 0. then static_wall /. steal_wall else 0. in
-  Printf.printf
-    "skewed cell mix: %d cheap RESSCHED cells (n=16) + 1 pathological (n=150), jobs=%d, best of %d\n"
-    n_cheap pool_jobs reps;
-  Printf.printf "  %-8s %10s %11s\n" "executor" "wall[ms]" "imbalance";
-  Printf.printf "  %-8s %10.2f %11.2f\n" "static" (1000. *. static_wall) static_imb;
-  Printf.printf "  %-8s %10.2f %11.2f\n" "steal" (1000. *. steal_wall) steal_imb;
-  Printf.printf "  speedup (static/steal): %.2fx%s\n%!" speedup
-    (if Domain.recommended_domain_count () < pool_jobs then
-       "  [fewer cores than jobs: both serialize, expect ~1x]"
-     else "");
-  set_metrics
-    [
-      ("static_wall_s", static_wall);
-      ("steal_wall_s", steal_wall);
-      ("speedup", speedup);
-      ("static_imbalance", static_imb);
-      ("steal_imbalance", steal_imb);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Intra-schedule speculation: sequential vs pool-lent deadline solving
-   on Table-6-shaped instances (see "Intra-schedule speculation" in
-   DESIGN.md).  The speculative pass fans the tightest-search probe
-   waves and the per-task fit scans over a lent 4-worker pool; every rep
-   is pinned byte-equal to the sequential reference (speculation is
-   output-preserving).  Wall times and the derived speedup are
-   machine-speed (and core-count) dependent, so they ride as metrics —
-   as does the lookahead hit rate, measured by one extra counted pass
-   with the probes on.  On a machine with fewer than 4 cores the wave
-   workers serialize and the speedup collapses to ~1x. *)
-
-let bench_speculation () =
-  let module Pool = Mp_prelude.Pool in
-  let module Deadline = Mp_core.Deadline in
-  let spec_jobs = 4 and reps = 3 in
-  let insts = List.map (fun n -> instance_of { Dag_gen.default with n }) [ 50; 75; 100 ] in
-  let algos = Algo.deadline_hybrid in
-  let pass spec =
-    List.concat_map
-      (fun (env, dag) ->
-        List.map
-          (fun (a : Algo.deadline) ->
-            let prepared = a.prepare ?spec env dag in
-            let tight = Deadline.tightest ?spec prepared env dag in
-            let loose =
-              match tight with Some (k, _) -> prepared ~deadline:(2 * k) | None -> None
-            in
-            ( Option.map (fun (k, s) -> (k, Schedule.reservations s)) tight,
-              Option.map Schedule.reservations loose ))
-          algos)
-      insts
-  in
-  let reference = pass None in
-  let time f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let out = f () in
-      let wall = Unix.gettimeofday () -. t0 in
-      if out <> reference then failwith "Speculation bench: output diverged";
-      if wall < !best then best := wall
-    done;
-    !best
-  in
-  let seq_wall = time (fun () -> pass None) in
-  let spec_wall, (hits, misses, waves, wave_probes, wave_wasted) =
-    Pool.with_pool ~jobs:spec_jobs (fun p ->
-        let spec = Mp_core.Speculate.create p in
-        let wall = time (fun () -> pass (Some spec)) in
-        let counts =
-          Mp_obs.with_enabled (fun () ->
-              let s0 = Mp_obs.Snapshot.take () in
-              ignore (pass (Some spec));
-              let d = Mp_obs.Snapshot.sub (Mp_obs.Snapshot.take ()) ~earlier:s0 in
-              let c k =
-                Option.value ~default:0 (List.assoc_opt k d.Mp_obs.Snapshot.counters)
-              in
-              (c "spec.hits", c "spec.misses", c "spec.waves", c "spec.wave.probes",
-               c "spec.wave.wasted"))
-        in
-        (wall, counts))
-  in
-  let speedup = if spec_wall > 0. then seq_wall /. spec_wall else 0. in
-  let hit_rate =
-    if hits + misses = 0 then 1.0 else float_of_int hits /. float_of_int (hits + misses)
-  in
-  Printf.printf
-    "deadline solving (tightest search + loose re-run), %d instances x %d algorithms, spec \
-     jobs=%d, best of %d\n"
-    (List.length insts) (List.length algos) spec_jobs reps;
-  Printf.printf "  %-12s %10s\n" "mode" "wall[ms]";
-  Printf.printf "  %-12s %10.2f\n" "sequential" (1000. *. seq_wall);
-  Printf.printf "  %-12s %10.2f\n" "speculative" (1000. *. spec_wall);
-  Printf.printf "  speedup (seq/spec): %.2fx%s\n" speedup
-    (if Domain.recommended_domain_count () < spec_jobs then
-       "  [fewer cores than spec jobs: waves serialize, expect ~1x]"
-     else "");
-  Printf.printf
-    "  lookahead: %d hit(s), %d miss(es) (%.1f%% hit rate); waves: %d, probes %d, wasted %d\n%!"
-    hits misses (100. *. hit_rate) waves wave_probes wave_wasted;
-  set_metrics
-    [
-      ("seq_wall_s", seq_wall);
-      ("spec_wall_s", spec_wall);
-      ("speedup", speedup);
-      ("spec_hit_rate", hit_rate);
-      ("wave_waste_rate",
-       if wave_probes = 0 then 0.0 else float_of_int wave_wasted /. float_of_int wave_probes);
-    ]
-
-(* Promote the tightest-search probe count — and, when a pool was lent,
-   the speculation hit rate — of a table's run into its metrics block for
-   side-by-side reporting by bench/compare.exe.  Traced runs only: the
-   counters are frozen when the probes are off.  [deadline.tightest.probes]
-   also stays in the section's gated counters; [spec.*] never gates (see
-   [nondeterministic] above). *)
+(* Promote the tightest-search probe count of a table's run into its
+   metrics block for side-by-side reporting by bench/compare.exe.  Traced
+   runs only: the counters are frozen when the probes are off.
+   [deadline.tightest.probes] also stays in the section's gated
+   counters. *)
 let with_probe_metrics f () =
   if not !Mp_obs.enabled then f ()
   else begin
     let s0 = Mp_obs.Snapshot.take () in
     f ();
     let d = Mp_obs.Snapshot.sub (Mp_obs.Snapshot.take ()) ~earlier:s0 in
-    let c k = Option.value ~default:0 (List.assoc_opt k d.Mp_obs.Snapshot.counters) in
-    let hits = c "spec.hits" and misses = c "spec.misses" in
-    let metrics = [ ("tightest_probes", float_of_int (c "deadline.tightest.probes")) ] in
-    let metrics =
-      if hits + misses = 0 then metrics
-      else
-        metrics
-        @ [ ("spec_hit_rate", float_of_int hits /. float_of_int (hits + misses)) ]
+    let probes =
+      Option.value ~default:0
+        (List.assoc_opt "deadline.tightest.probes" d.Mp_obs.Snapshot.counters)
     in
-    set_metrics metrics
+    set_metrics [ ("tightest_probes", float_of_int probes) ]
   end
 
 let log2f x = log (float_of_int x) /. log 2.
@@ -787,11 +612,6 @@ let () =
         (fun () ->
           Printf.printf "%d application specifications enumerated from Table 1\n"
             (List.length Scenario.app_specs));
-      (* executor micro-benchmark first: its per-rep snapshots copy every
-         span event recorded so far, so it must run before the tables
-         fill the per-domain buffers *)
-      section "Pool" bench_pool;
-      section "Speculation" bench_speculation;
       section "Table 2" (fun () -> Experiments.print_table2 scale);
       section "Table 3" (fun () -> Experiments.print_table3 scale);
       section "Section 4.3.1 (bottom-level methods)" (fun () ->

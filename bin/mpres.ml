@@ -50,7 +50,7 @@ let submit_one ?spec inst ~algo ~deadline =
   Engine.handle (one_shot_engine ?spec inst) ~site:0
     (Request.Submit_dag { dag = inst.Instance.dag; algo; deadline })
 
-(* Lend a pool of [jobs] workers to the one schedule computation a
+(* Lend a pool of [jobs] workers to the tightest-deadline search a
    one-shot subcommand makes (Mp_core.Speculate).  Speculation is
    output-preserving, so the result is bit-identical for any [jobs];
    [jobs = 1] skips the pool entirely (the sequential reference). *)
@@ -513,10 +513,11 @@ let serve seed n sites procs queue_limit budget algos jobs dump replay json stat
         { Engine.calendar = Mp_platform.Calendar.create ~procs; q = procs })
   in
   (* with more workers than sites the per-site fan-out cannot use them
-     all; lend the surplus to each request's schedule computation through
-     a second pool (a pool batch is not re-entrant, so the spec pool must
-     be distinct from the one fanning the sites).  Speculation is
-     output-preserving, so responses stay bit-identical for any --jobs. *)
+     all; lend the surplus to each request's tightest-deadline search
+     through a second pool (a pool batch is not re-entrant, so the spec
+     pool must be distinct from the one fanning the sites).  Speculation
+     is output-preserving, so responses stay bit-identical for any
+     --jobs. *)
   let spec_pool =
     if jobs > sites then Some (Mp_prelude.Pool.create ~jobs:(jobs - sites + 1) ()) else None
   in

@@ -4,19 +4,21 @@
 type ressched = {
   name : string;
   run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t;
-      (** [?spec] lends pool workers to this one schedule computation,
-          output unchanged (see {!Speculate}) *)
+      (** [?spec] is ignored: RESSCHED never speculates.  The parameter
+          stays only for callers that build this record themselves with
+          an optional [spec] argument. *)
 }
 
 type deadline = {
   name : string;
-  run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
+  run : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
   prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
       (** partial application at [Env.t -> Dag.t] precomputes the
           deadline-independent data; use for deadline sweeps (see
-          {!Deadline.aggressive_prepared}).  Drive a closure prepared
-          under [?spec] only with searches given the same [spec]
-          ({!Deadline.tightest}'s [?spec]). *)
+          {!Deadline.aggressive_prepared}).  [?spec] warms the closure's
+          memo so that a {!Deadline.tightest} search given the same
+          [spec] may call it from several domains at once; it never
+          changes a result. *)
 }
 
 val ressched_main : ressched list

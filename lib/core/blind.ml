@@ -1,6 +1,7 @@
 module Dag = Mp_dag.Dag
 module Task = Mp_dag.Task
-module Probe = Mp_service.Probe
+module Engine = Mp_service.Engine
+module Request = Mp_service.Request
 module Response = Mp_service.Response
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
@@ -8,24 +9,40 @@ module Schedule = Mp_cpa.Schedule
 module Allocation = Mp_cpa.Allocation
 module Mapping = Mp_cpa.Mapping
 
+(* The scheduler's side of the trial-and-error protocol: site 0 of a
+   single-site engine, plus the count of [Reserve] requests made.  The
+   count charges requests, not cancellations — the per-task budget is
+   defined in requests. *)
+type client = { engine : Engine.t; mutable requests : int }
+
+let request c ~start ~dur ~procs =
+  c.requests <- c.requests + 1;
+  Engine.handle c.engine ~site:0 (Request.Reserve { start; dur; procs })
+
+let cancel c (r : Reservation.t) =
+  let cancel = Request.Cancel { start = r.start; finish = r.finish; procs = r.procs } in
+  match Engine.handle c.engine ~site:0 cancel with
+  | Response.Cancelled -> ()
+  | resp -> invalid_arg ("Blind.schedule: cancel answered " ^ Response.to_string resp)
+
 (* Survey one candidate processor count: request at [ready]; on rejection,
    follow the suggestion once.  Returns the granted reservation (so the
    caller can keep it or cancel it) and the number of requests spent. *)
-let survey probe task ~ready np =
+let survey c task ~ready np =
   let dur = Task.exec_time task np in
-  match Probe.request probe ~start:ready ~dur ~procs:np with
+  match request c ~start:ready ~dur ~procs:np with
   | Response.Granted -> (Some (Reservation.make ~start:ready ~finish:(ready + dur) ~procs:np), 1)
   | Response.Rejected None -> (None, 1)
   | Response.Rejected (Some s) -> (
-      match Probe.request probe ~start:s ~dur ~procs:np with
+      match request c ~start:s ~dur ~procs:np with
       | Response.Granted -> (Some (Reservation.make ~start:s ~finish:(s + dur) ~procs:np), 2)
       | _ ->
           (* cannot happen in a static system: the suggestion was just
              computed as feasible; kept total for robustness *)
           (None, 2))
-  | _ -> (* [request] only answers Granted/Rejected *) (None, 1)
+  | _ -> (* a [Reserve] only answers Granted/Rejected *) (None, 1)
 
-let place probe task ~ready ~(cands : Task.candidates) ~budget =
+let place c task ~ready ~(cands : Task.candidates) ~budget =
   (* Candidates largest-first: bigger allocations have shorter durations
      and usually earlier completions, so they are worth surveying first
      when the budget is tight. *)
@@ -52,19 +69,19 @@ let place probe task ~ready ~(cands : Task.candidates) ~budget =
         match best with
         | Some (b : Reservation.t) when ready + dur > b.finish -> best
         | _ ->
-            let r, cost = survey probe task ~ready np in
+            let r, cost = survey c task ~ready np in
             let best =
               match r with
               | None -> best
               | Some r ->
-                  Probe.cancel probe r;
+                  cancel c r;
                   if better r best then Some r else best
             in
             go best (spent + cost) rest)
   in
   match go None 0 candidates with
   | Some r -> (
-      match Probe.request probe ~start:r.Reservation.start ~dur:(Reservation.duration r) ~procs:r.Reservation.procs with
+      match request c ~start:r.Reservation.start ~dur:(Reservation.duration r) ~procs:r.Reservation.procs with
       | Response.Granted -> r
       | _ -> assert false (* static system: the trial was grantable *))
   | None ->
@@ -73,16 +90,17 @@ let place probe task ~ready ~(cands : Task.candidates) ~budget =
          the final segment of any calendar has free processors). *)
       let dur = Task.exec_time task 1 in
       let rec chase start =
-        match Probe.request probe ~start ~dur ~procs:1 with
+        match request c ~start ~dur ~procs:1 with
         | Response.Granted -> Reservation.make ~start ~finish:(start + dur) ~procs:1
         | Response.Rejected (Some s) -> chase s
         | _ -> invalid_arg "Blind.schedule: cluster has no processors"
       in
       chase ready
 
-let schedule ?(budget = 16) ?(bl = Bottom_level.BL_CPAR) ~q ~probe dag =
+let schedule ?(budget = 16) ?(bl = Bottom_level.BL_CPAR) ~q ~engine dag =
   if budget < 1 then invalid_arg "Blind.schedule: budget < 1";
-  let p = Calendar.procs (Probe.reveal probe) in
+  let c = { engine; requests = 0 } in
+  let p = Calendar.procs (Engine.calendar engine ~site:0) in
   let q = max 1 (min p q) in
   (* Bounds and ordering weights come from the scheduler's own q estimate:
      no calendar knowledge involved. *)
@@ -105,7 +123,7 @@ let schedule ?(budget = 16) ?(bl = Bottom_level.BL_CPAR) ~q ~probe dag =
       let ready =
         Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
       in
-      let r = place probe (Dag.task dag i) ~ready ~cands:cands.(i) ~budget in
+      let r = place c (Dag.task dag i) ~ready ~cands:cands.(i) ~budget in
       slots.(i) <- { start = r.Reservation.start; finish = r.Reservation.finish; procs = r.Reservation.procs })
     order;
-  { Schedule.slots }
+  ({ Schedule.slots }, c.requests)

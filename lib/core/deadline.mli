@@ -37,16 +37,15 @@
 
     {2 Speculation}
 
-    Every entry point below takes [?spec] (a {!Speculate.t}): when
-    given, idle pool workers are lent to the computation — λ-sweep and
-    deadline-search probes fan in waves, backward placement evaluates
-    lookahead windows against calendar snapshots — with the returned
-    schedule, deadline and λ {e identical} to the sequential run (see
-    "Intra-schedule speculation" in DESIGN.md).  Pass the {e same}
-    [spec] (or none) to a [*_prepared] constructor and to every search
-    driving its closure: preparation under [?spec] eagerly warms the
-    closure's memo tables so the probes a search fans across domains
-    share only read-only state. *)
+    {!tightest} takes [?spec] (a {!Speculate.t}): when given, idle pool
+    workers evaluate the search's probes in waves, with the returned
+    deadline and schedule {e identical} to the sequential run (see
+    "Intra-schedule speculation" in DESIGN.md).  The probes then run
+    on several domains at once, so the closure they call must share only
+    read-only state: prepare it with {!conservative_prepared} or
+    {!hybrid_prepared} under the {e same} [spec], which eagerly warms
+    the closure's memo table.  {!aggressive_prepared} keeps no memo and
+    needs no [spec].  Nothing else in this module speculates. *)
 
 type aggressive = DL_BD_ALL | DL_BD_CPA | DL_BD_CPAR
 type conservative = DL_RC_CPA | DL_RC_CPAR
@@ -55,7 +54,6 @@ val aggressive_name : aggressive -> string
 val conservative_name : conservative -> string
 
 val aggressive :
-  ?spec:Speculate.t ->
   aggressive ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -63,7 +61,6 @@ val aggressive :
   Mp_cpa.Schedule.t option
 
 val aggressive_prepared :
-  ?spec:Speculate.t ->
   aggressive ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -75,11 +72,10 @@ val aggressive_prepared :
     variants — the memoized prefix reference schedules of
     {!Mp_cpa.Mapping.prefix_references}), none of which depends on the
     deadline; deadline sweeps — binary searches, λ sweeps — should reuse
-    the resulting closure.  Without [?spec] the prepared closures carry
-    lazily-filled mutable memo state: share one closure within a worker,
-    not across concurrently-running domains.  With [?spec] the memos are
-    forced at preparation, so a search given the same [spec] may fan the
-    closure's probes across the pool. *)
+    the resulting closure.  The conservative closures carry a
+    lazily-filled memo unless prepared under [?spec] (see
+    {!conservative_prepared}); an aggressive closure is safe to share
+    across domains. *)
 
 val conservative_prepared :
   ?bounded_fallback:bool ->
@@ -92,7 +88,12 @@ val conservative_prepared :
   Mp_cpa.Schedule.t option
 (** Prepared variant of {!resource_conservative} (same precomputation
     note as {!aggressive_prepared}; [lambda] stays a per-call argument so
-    the hybrid's sweep shares one preparation). *)
+    the hybrid's sweep shares one preparation).  Without [?spec] the
+    closure's memo of reference schedules fills lazily: share one closure
+    within a domain, not across concurrently-running domains.  With
+    [?spec] the memo is forced at preparation, so a {!tightest} search
+    given the same [spec] may fan the closure's probes across the
+    pool. *)
 
 val hybrid_prepared :
   ?bounded_fallback:bool ->
@@ -104,12 +105,13 @@ val hybrid_prepared :
   (Mp_cpa.Schedule.t * float) option
 (** Prepared variant of {!hybrid}.  The λ grid is [λ_k = min 1 (k·step)]
     for [k = 0, 1, …] up to the first [k] with [k·step >= 1] — an
-    integer-indexed grid with no accumulated float rounding. *)
+    integer-indexed grid with no accumulated float rounding, swept in
+    order.  [?spec] only warms the memo, as for
+    {!conservative_prepared}. *)
 
 val resource_conservative :
   ?lambda:float ->
   ?bounded_fallback:bool ->
-  ?spec:Speculate.t ->
   conservative ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -120,7 +122,6 @@ val resource_conservative :
 val hybrid :
   ?bounded_fallback:bool ->
   ?step:float ->
-  ?spec:Speculate.t ->
   Env.t ->
   Mp_dag.Dag.t ->
   deadline:int ->
@@ -147,6 +148,6 @@ val tightest :
     deadline ~10{^6} times the lower bound.  With [?spec], the doubling
     bracket fans in waves and each bisection wave evaluates the current
     midpoint together with both possible next midpoints — same probed
-    deadlines on the consumed path, same result; [algo] must then be a
-    closure prepared under the same [spec] (its memos are warm and its
-    own speculation stands down while the search holds the pool). *)
+    deadlines on the consumed path, same result; [algo] must then be
+    safe to call from several domains at once (a closure prepared under
+    the same [spec], see above). *)

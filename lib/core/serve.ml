@@ -20,9 +20,9 @@ let dag_lock = Mutex.create ()
 
 let env ~q cal = Env.make ~calendar:cal ~q:(float_of_int q)
 
-(* [spec] lends a pool to the one schedule computation a request makes
-   (see {!Speculate}): whole-DAG work already serializes on [dag_lock],
-   so at most one submit/explain speculates at a time, and speculation is
+(* [spec] lends a pool to a request's tightest-deadline search (see
+   {!Speculate}): whole-DAG work already serializes on [dag_lock], so at
+   most one submit/explain speculates at a time, and speculation is
    output-preserving, so responses stay bit-identical with or without
    it.  The spec pool must be distinct from the pool fanning the engine's
    per-site streams (a pool batch is not re-entrant). *)
@@ -33,7 +33,7 @@ let submit ?spec ~algo ~deadline ~q cal dag =
       match (deadline : Request.deadline_spec) with
       | No_deadline ->
           Mutex.protect dag_lock (fun () ->
-              Response.Scheduled { schedule = a.Algo.run ?spec (env ~q cal) dag; deadline = None })
+              Response.Scheduled { schedule = a.Algo.run (env ~q cal) dag; deadline = None })
       | By _ | Tightest ->
           Response.Error
             (Printf.sprintf
@@ -45,7 +45,7 @@ let submit ?spec ~algo ~deadline ~q cal dag =
           let env = env ~q cal in
           match (deadline : Request.deadline_spec) with
           | By k -> (
-              match a.Algo.run ?spec env dag ~deadline:k with
+              match a.Algo.run env dag ~deadline:k with
               | Some schedule -> Response.Scheduled { schedule; deadline = Some k }
               | None -> Response.Infeasible { algo; deadline = Some k })
           | No_deadline | Tightest -> (
@@ -103,11 +103,8 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
       let run_or_err =
         match found with
         | `Ressched a ->
-            (* the journaled run below sees [Journal.enabled] and stands
-               down from speculation by itself — passing [spec] is
-               harmless and keeps one code path *)
             Ok
-              ( (fun () -> a.Algo.run ?spec (env ~q cal) dag),
+              ( (fun () -> a.Algo.run (env ~q cal) dag),
                 Printf.sprintf "algorithm %s" a.Algo.name )
         | `Deadline a -> (
             let env = env ~q cal in
@@ -129,7 +126,7 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
             | Ok (k, tightest) ->
                 Ok
                   ( (fun () ->
-                      match a.Algo.run ?spec env dag ~deadline:k with
+                      match a.Algo.run env dag ~deadline:k with
                       | Some sched -> sched
                       | None ->
                           failwith

@@ -33,7 +33,7 @@
 val handlers : ?spec:Speculate.t -> unit -> Mp_service.Engine.handlers
 (** The registry-backed handlers: plug into
     {!Mp_service.Engine.create}.  [?spec] lends a pool to each request's
-    single schedule computation (see {!Speculate}); it must be a pool
+    tightest-deadline search (see {!Speculate}); it must be a pool
     {e distinct} from the one fanning the engine's per-site streams (a
     pool batch is not re-entrant).  Whole-DAG work serializes on the
     process-wide lock, so at most one request speculates at a time, and

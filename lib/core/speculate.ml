@@ -1,39 +1,31 @@
 module Pool = Mp_prelude.Pool
 module Journal = Mp_forensics.Journal
 
-(* Speculative work is timing-free in *outcome* (which placements hit or
-   miss is a pure function of the schedule state) but not in *cost*, and
+(* Which probes a wave evaluates is a pure function of the search state,
+   but whether a search speculates at all depends on the jobs value, so
    the whole spec.* family is excluded from the gated bench counter
    deltas alongside pool.* — see "Intra-schedule speculation" in
    DESIGN.md. *)
-let c_hits = Mp_obs.Counter.make "spec.hits"
-let c_misses = Mp_obs.Counter.make "spec.misses"
-let c_wasted_ns = Mp_obs.Counter.make "spec.wasted_ns"
 let c_waves = Mp_obs.Counter.make "spec.waves"
 let c_wave_probes = Mp_obs.Counter.make "spec.wave.probes"
 let c_wave_wasted = Mp_obs.Counter.make "spec.wave.wasted"
 
-type t = { pool : Pool.t; lookahead : int; busy : bool Atomic.t }
+type t = { pool : Pool.t; busy : bool Atomic.t }
 
-(* Wave width for the search fan-outs (λ sweep, doubling bracket).  A
-   constant — never derived from the pool's worker count — so the set of
-   probes a speculative search evaluates, and with it every deterministic
-   counter it bumps, is identical for any jobs value. *)
+(* Wave width for the doubling-bracket fan-out.  A constant — never
+   derived from the pool's worker count — so the set of probes a
+   speculative search evaluates, and with it every deterministic counter
+   it bumps, is identical for any jobs value. *)
 let wave_width = 4
 
-let create ?(lookahead = 4) pool =
-  if lookahead < 1 then invalid_arg "Speculate.create: lookahead < 1";
-  { pool; lookahead; busy = Atomic.make false }
-
-let lookahead t = t.lookahead
-let pool t = t.pool
+let create pool = { pool; busy = Atomic.make false }
 
 let acquire = function
   | None -> None
   | Some t ->
       (* Stand down whenever speculating could change observable output
-         (the journal records every candidate scan, and speculative scans
-         run different queries on other domains) or could not help
+         (the journal records every placement, and speculative probes
+         would record theirs from other domains) or could not help
          (sequential pool).  The busy flag makes the pool's
          non-reentrancy a graceful degradation instead of an error: an
          inner search attempted while an outer one holds the pool simply
@@ -66,8 +58,3 @@ let wave_probes n =
   Mp_obs.Counter.add c_wave_probes n
 
 let wave_wasted n = Mp_obs.Counter.add c_wave_wasted n
-let hit () = Mp_obs.Counter.incr c_hits
-
-let miss ~wasted_ns =
-  Mp_obs.Counter.incr c_misses;
-  Mp_obs.Counter.add c_wasted_ns wasted_ns

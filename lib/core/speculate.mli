@@ -1,16 +1,15 @@
 (** Intra-schedule speculation: lending idle {!Mp_prelude.Pool} workers
-    to {e one} schedule computation, bit-identically.
+    to {e one} tightest-deadline search, bit-identically.
 
-    A [Speculate.t] bundles a pool with a lookahead depth and a busy
-    flag.  Schedulers that receive one may fan independent pure probes
-    (deadline-search waves, λ-sweep waves) over the pool's workers and
-    evaluate upcoming placements against a persistent calendar snapshot
-    — but every speculative strategy in this library is
-    {e output-preserving by construction}: the schedule, the chosen
-    deadline/λ and every deterministic counter outside the [spec.*]
-    family are identical to the sequential run (see "Intra-schedule
-    speculation" in DESIGN.md for the argument, and the qcheck pins in
-    [test_core.ml]).
+    A [Speculate.t] bundles a pool with a busy flag.  One strategy uses
+    it: {!Deadline.tightest} fans its doubling-bracket probes in waves
+    of {!wave_width} over {!Mp_prelude.Pool.first_some}, and evaluates
+    each bisection midpoint together with both possible next midpoints.
+    The strategy is {e output-preserving by construction}: the chosen
+    deadline, the schedule and every deterministic counter outside the
+    [spec.*] family are identical to the sequential run (see
+    "Intra-schedule speculation" in DESIGN.md for the argument, and the
+    qcheck pin in [test_core.ml]).
 
     Speculation {e stands down} — {!acquire} returns [None] and the
     caller runs its plain sequential path — whenever:
@@ -27,21 +26,15 @@
 
 type t
 
-val create : ?lookahead:int -> Mp_prelude.Pool.t -> t
-(** Bundle a pool for lending.  [lookahead] (default 4) bounds how many
-    upcoming placements a scheduler may evaluate against one calendar
-    snapshot.  Raises [Invalid_argument] if [lookahead < 1].  The caller
-    keeps ownership of the pool (and shuts it down); the same [t] may be
-    offered to many schedule computations, but the busy flag admits one
-    speculating search at a time. *)
-
-val lookahead : t -> int
-val pool : t -> Mp_prelude.Pool.t
+val create : Mp_prelude.Pool.t -> t
+(** Bundle a pool for lending.  The caller keeps ownership of the pool
+    (and shuts it down); the same [t] may be offered to many searches,
+    but the busy flag admits one speculating search at a time. *)
 
 val wave_width : int
-(** Probes per search wave (λ sweep, doubling bracket).  A constant —
-    never the pool's worker count — so the probe set a speculative
-    search evaluates is identical for any jobs value. *)
+(** Probes per doubling-bracket wave.  A constant — never the pool's
+    worker count — so the probe set a speculative search evaluates is
+    identical for any jobs value. *)
 
 val acquire : t option -> t option
 (** [acquire spec] is [Some t] when speculation may proceed (and the
@@ -67,17 +60,10 @@ val first_some : t -> (unit -> 'a option) array -> (int * 'a) option
 (** {2 Probe accounting}
 
     Record-only counters ([spec.*] family, excluded from gated bench
-    deltas): speculative placement outcomes and wave traffic. *)
+    deltas): wave traffic. *)
 
 val wave_probes : int -> unit
 (** Record a wave of [n] probes ([spec.waves] + [spec.wave.probes]). *)
 
 val wave_wasted : int -> unit
 (** Record [n] evaluated-but-unconsumed wave probes. *)
-
-val hit : unit -> unit
-(** A speculative placement validated against the live calendar. *)
-
-val miss : wasted_ns:int -> unit
-(** A speculative placement invalidated; [wasted_ns] is the wall time
-    the discarded scan took (0 when the probes are off). *)

@@ -7,17 +7,12 @@
    (n, jobs).  A worker that exhausts its own range steals from the
    other ranges (scanning victims in a fixed order), using the same
    claim protocol, so no item is ever run twice and an idle worker never
-   waits out a loaded stripe.  Which worker runs an item may vary with
+   waits out a loaded range.  Which worker runs an item may vary with
    timing; what cannot vary is the result: every item writes its own
    pre-allocated slot ([Ok] or the captured exception) and the slots are
-   merged by item index, so output equals the sequential run's.
-
-   The pre-stealing static round-robin executor survives as the
-   [Static] strategy — the reference the bench harness races the
-   stealing executor against. *)
+   merged by item index, so output equals the sequential run's. *)
 
 type slot = Idle | Work of (unit -> unit)
-type strategy = Static | Steal
 
 let sp_worker = Mp_obs.Span.make "pool.worker"
 let c_batches = Mp_obs.Counter.make "pool.batches"
@@ -32,7 +27,6 @@ let c_busy_ns = Mp_obs.Counter.make "pool.busy_ns"
 
 type t = {
   jobs : int;
-  strategy : strategy;
   mutex : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
@@ -81,13 +75,12 @@ let worker t w =
   in
   loop ()
 
-let create ?(strategy = Steal) ?jobs () =
+let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
   let t =
     {
       jobs;
-      strategy;
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       work_done = Condition.create ();
@@ -102,21 +95,6 @@ let create ?(strategy = Steal) ?jobs () =
   t
 
 let jobs t = t.jobs
-let strategy t = t.strategy
-
-(* --- static reference executor ---------------------------------------- *)
-
-(* Run stripe [w] of [n] items: every item writes its own result slot;
-   on an exception the stripe stops (the remaining slots stay [None],
-   which is fine — in index order the exception is reached first). *)
-let stripe results items f n step w () =
-  let i = ref w in
-  (try
-     while !i < n do
-       results.(!i) <- Some (Ok (f items.(!i)));
-       i := !i + step
-     done
-   with e -> results.(!i) <- Some (Error e))
 
 (* --- stealing executor ------------------------------------------------- *)
 
@@ -215,27 +193,17 @@ let map_array t f items =
     t.in_batch <- true;
     Mp_obs.Counter.incr c_batches;
     let results = Array.make n None in
-    (* [body w] is worker [w]'s whole participation; [active w] says
-       whether spawned worker [w] has anything to start from.  (With
-       stealing an empty initial range means an empty batch tail — the
-       live workers drain everything — so waking such a worker buys
-       nothing.) *)
-    let body, active =
-      match t.strategy with
-      | Static -> (stripe results items f n t.jobs, fun w -> w < n)
-      | Steal ->
-          let rs = ranges n t.jobs in
-          let cursors = Array.map (fun (lo, _) -> Atomic.make lo) rs in
-          let his = Array.map snd rs in
-          let chunk = chunk_size ~n ~jobs:t.jobs in
-          ( steal_body results items f cursors his t.jobs ~chunk,
-            fun w ->
-              let lo, hi = rs.(w) in
-              lo < hi )
-    in
+    (* [body w] is worker [w]'s whole participation.  A spawned worker
+       whose initial range is empty is not woken: an empty range means an
+       empty batch tail, which the live workers drain. *)
+    let rs = ranges n t.jobs in
+    let cursors = Array.map (fun (lo, _) -> Atomic.make lo) rs in
+    let his = Array.map snd rs in
+    let body = steal_body results items f cursors his t.jobs ~chunk:(chunk_size ~n ~jobs:t.jobs) in
     let assigned = ref 0 in
     for w = 0 to t.jobs - 2 do
-      if active w then begin
+      let lo, hi = rs.(w) in
+      if lo < hi then begin
         t.slots.(w) <- Work (body w);
         incr assigned
       end
@@ -253,9 +221,9 @@ let map_array t f items =
     Mutex.unlock t.mutex;
     (* merge in item order: the smallest-index failure wins, as it would
        sequentially (a [None] can only follow an [Error] at a smaller
-       index — a stripe or claimed chunk abandons only the indices after
-       its exception, and an unclaimed index means its range's last
-       claimant failed below it) *)
+       index — a claimed chunk abandons only the indices after its
+       exception, and an unclaimed index means its range's last claimant
+       failed below it) *)
     for i = 0 to n - 1 do
       match results.(i) with Some (Error e) -> raise e | _ -> ()
     done;
@@ -294,8 +262,8 @@ let shutdown t =
   Mutex.unlock t.mutex;
   if not was_closed then Array.iter Domain.join t.domains
 
-let with_pool ?strategy ?jobs f =
-  let t = create ?strategy ?jobs () in
+let with_pool ?jobs f =
+  let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-let run ?strategy ?jobs f xs = with_pool ?strategy ?jobs (fun t -> map t f xs)
+let run ?jobs f xs = with_pool ?jobs (fun t -> map t f xs)

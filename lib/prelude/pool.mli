@@ -3,9 +3,9 @@
 
     The pool exists so the simulation layer can spread embarrassingly
     parallel ⟨instance, algorithm⟩ cells over the machine's cores while
-    keeping results {e bit-identical} to sequential execution.  Since the
-    work-stealing rewrite the determinism contract is no longer "which
-    worker runs an item is fixed" — it is purely structural:
+    keeping results {e bit-identical} to sequential execution.  The
+    executor is deterministic work stealing, and the determinism contract
+    is purely structural (which worker runs an item is {e not} fixed):
 
     - the item index space is split into [jobs] contiguous ranges, each
       drained through a forward-only atomic claim cursor; a worker that
@@ -39,38 +39,19 @@
 
 type t
 
-(** How a batch's items are handed to workers.  Both strategies satisfy
-    the determinism contract above; they differ only in wall-clock
-    behaviour under skew. *)
-type strategy =
-  | Static
-      (** The pre-stealing reference executor: item [i] is pinned to
-          worker [i mod jobs] (round-robin striping).  One slow item
-          serializes its whole stripe behind it while the other workers
-          idle — kept as the baseline the bench harness races {!Steal}
-          against. *)
-  | Steal
-      (** Work stealing over per-worker contiguous ranges (the
-          default): idle workers drain loaded ranges, so a single
-          pathological item costs at most its own runtime, not its
-          stripe's. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): leave one core
     for the caller's OS noise.  This is the default for every [?jobs]
     argument in the library. *)
 
-val create : ?strategy:strategy -> ?jobs:int -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] workers ([jobs - 1] new domains plus the
-    calling domain).  Defaults: {!Steal}, {!default_jobs}.  Raises
+    calling domain).  Default {!default_jobs}.  Raises
     [Invalid_argument] if [jobs < 1].  Call {!shutdown} (or use
     {!with_pool}) when done — idle workers block a domain each. *)
 
 val jobs : t -> int
 (** Worker count (including the calling domain). *)
-
-val strategy : t -> strategy
-(** The executor this pool was created with. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], fanned over the pool's workers.
@@ -102,9 +83,9 @@ val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; subsequent {!map} calls
     raise. *)
 
-val with_pool : ?strategy:strategy -> ?jobs:int -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a fresh pool and shuts it down on
     exit (normal or exceptional). *)
 
-val run : ?strategy:strategy -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** One-shot convenience: [with_pool ~jobs (fun p -> map p f xs)]. *)

@@ -1,7 +1,7 @@
 (** The unified response type of the scheduling service.
 
     One typed answer vocabulary for every consumer that used to speak its
-    own dialect: the trial-and-error reservation facade ({!Probe}, whose
+    own dialect: the trial-and-error scheduler ([Mp_core.Blind], whose
     [Granted | Rejected] pair folds in here), the online competitor
     stream ([Mp_core.Online]), the one-shot CLI paths
     ([mpres schedule|deadline|explain]) and the long-running

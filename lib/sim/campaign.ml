@@ -21,7 +21,7 @@ type t = {
 
 let day = 86_400
 
-let run ?bl ?bd ?spec (env : Env.t) arrivals =
+let run ?bl ?bd (env : Env.t) arrivals =
   List.iter (fun a -> if a.at < 0 then invalid_arg "Campaign.run: negative arrival") arrivals;
   let arrivals =
     List.stable_sort (fun a b -> compare a.at b.at) arrivals
@@ -32,7 +32,7 @@ let run ?bl ?bd ?spec (env : Env.t) arrivals =
       (fun { at; dag } ->
         let q = Calendar.average_available !cal ~from_:at ~until:(at + (7 * day)) in
         let app_env = Env.make ~calendar:!cal ~q in
-        let schedule = Ressched.schedule ?bl ?bd ?spec ~now:at app_env dag in
+        let schedule = Ressched.schedule ?bl ?bd ~now:at app_env dag in
         cal := List.fold_left Calendar.reserve !cal (Schedule.reservations schedule);
         {
           arrival = at;
@@ -52,16 +52,7 @@ let run ?bl ?bd ?spec (env : Env.t) arrivals =
 (* Each campaign threads its own calendar and is inherently sequential,
    but independent campaigns (different tenants, seeds, or what-if
    calendars) fan out cleanly: one campaign per work item, results merged
-   in input order.  A single campaign cannot use more than one worker by
-   fanning, so the pool is lent *into* its schedules instead
-   ({!Mp_core.Speculate} — output-preserving, so the result is identical
-   either way). *)
+   in input order. *)
 let run_many ?pool ?jobs ?bl ?bd campaigns =
-  let go p =
-    let n = List.length campaigns in
-    if n > 0 && n < Mp_prelude.Pool.jobs p then
-      let spec = Mp_core.Speculate.create p in
-      List.map (fun (env, arrivals) -> run ?bl ?bd ~spec env arrivals) campaigns
-    else Mp_prelude.Pool.map p (fun (env, arrivals) -> run ?bl ?bd env arrivals) campaigns
-  in
+  let go p = Mp_prelude.Pool.map p (fun (env, arrivals) -> run ?bl ?bd env arrivals) campaigns in
   match pool with Some p -> go p | None -> Mp_prelude.Pool.with_pool ?jobs go

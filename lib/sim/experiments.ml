@@ -677,12 +677,18 @@ let blind_ablation ?pool ?jobs scale =
             List.split
               (Pool.map p
                  (fun ((inst : Instance.t), baseline) ->
-                   let probe = Mp_service.Probe.create inst.env.calendar in
-                   let sched = Mp_core.Blind.schedule ~budget ~q:inst.env.q ~probe inst.dag in
+                   let cal = inst.env.calendar in
+                   let engine =
+                     Mp_service.Engine.create
+                       ~sites:[| { Mp_service.Engine.calendar = cal; q = Calendar.procs cal } |]
+                       ()
+                   in
+                   let sched, requests =
+                     Mp_core.Blind.schedule ~budget ~q:inst.env.q ~engine inst.dag
+                   in
                    let tat = float_of_int (Schedule.turnaround sched) in
                    ( (tat -. baseline) /. baseline *. 100.,
-                     float_of_int (Mp_service.Probe.probes probe)
-                     /. float_of_int (Mp_dag.Dag.n inst.dag) ))
+                     float_of_int requests /. float_of_int (Mp_dag.Dag.n inst.dag) ))
                  cases)
           in
           {

@@ -31,24 +31,7 @@ let with_pool ?pool ?jobs f =
 (* Cells are numbered instance-major: cell [ii * n_algos + ai].  Each cell
    reads only its instance's immutable environment and DAG and fills its
    own result slot, so the merged matrices are independent of worker
-   count and scheduling order.
-
-   When a batch has fewer cells than the pool has workers, fanning the
-   cells would idle domains; instead the cells run sequentially in the
-   calling domain and the whole pool is lent *into* each cell
-   ({!Mp_core.Speculate}).  Speculation is output-preserving and cells
-   run in cell order, so the merged matrices are unchanged — the
-   bit-identical-for-any-jobs pin holds across the policy switch. *)
-let lend_spec p cells =
-  if Array.length cells > 0 && Array.length cells < Pool.jobs p then
-    Some (Mp_core.Speculate.create p)
-  else None
-
-(* With a lent spec the pool must stay idle for the cells' own fan-out (a
-   pool batch is not re-entrant), so the cells run in cell order on the
-   calling domain — the same order [Pool.map_array] merges in. *)
-let fan p spec f cells =
-  match spec with Some _ -> Array.map f cells | None -> Pool.map_array p f cells
+   count and scheduling order. *)
 
 let ressched ?(validate = false) ?pool ?jobs ~algos ~scenario (instances : Instance.t list) =
   let algos = Array.of_list algos in
@@ -59,13 +42,12 @@ let ressched ?(validate = false) ?pool ?jobs ~algos ~scenario (instances : Insta
   let cells = Array.init (n_inst * n_algos) Fun.id in
   let results =
     with_pool ?pool ?jobs (fun p ->
-        let spec = lend_spec p cells in
-        fan p spec
+        Pool.map_array p
           (fun c ->
             Mp_obs.Span.wrap sp_cell @@ fun () ->
             let inst = instances.(c / n_algos) in
             let (a : Algo.ressched) = algos.(c mod n_algos) in
-            let sched = a.run ?spec inst.env inst.dag in
+            let sched = a.run inst.env inst.dag in
             check ~validate inst sched;
             (float_of_int (Schedule.turnaround sched), Schedule.cpu_hours sched))
           cells)
@@ -86,25 +68,33 @@ let deadline ?(validate = false) ?pool ?jobs ?(loose_factor = 1.5) ~algos ~scena
   let algo_names = Array.map (fun (a : Algo.deadline) -> a.name) algos in
   let cells = Array.init (n_inst * n_algos) Fun.id in
   with_pool ?pool ?jobs (fun p ->
-      (* one spec for both phases: a [prepared] closure captures the spec
-         it was prepared under, so phase 2 must run under the same
-         lending decision (sequential cells, pool idle between waves) *)
-      let spec = lend_spec p cells in
+      (* With fewer cells than workers, fanning the cells would idle
+         domains; instead the whole pool is lent *into* each cell's
+         tightest-deadline search ({!Mp_core.Speculate}).  Speculation is
+         output-preserving, so the matrices are unchanged — the
+         bit-identical-for-any-jobs pin holds across the policy switch. *)
+      let spec =
+        let n = Array.length cells in
+        if n > 0 && n < Pool.jobs p then Some (Mp_core.Speculate.create p) else None
+      in
       (* phase 1: per cell, the deadline-independent preparation and the
-         tightest achievable deadline *)
+         tightest achievable deadline.  With a lent spec the pool must
+         stay idle for the search's own waves (a pool batch is not
+         re-entrant), so the cells run in cell order on the calling
+         domain — the same order [Pool.map_array] merges in. *)
       let prepared_tight =
-        fan p spec
-          (fun c ->
-            Mp_obs.Span.wrap sp_cell @@ fun () ->
-            let inst = instances.(c / n_algos) in
-            let (a : Algo.deadline) = algos.(c mod n_algos) in
-            let prepared = a.prepare ?spec inst.env inst.dag in
-            let tight = Deadline.tightest ?spec prepared inst.env inst.dag in
-            (match tight with
-            | Some (k, sched) -> check ~validate inst ~deadline:k sched
-            | None -> ());
-            (prepared, tight))
-          cells
+        let cell c =
+          Mp_obs.Span.wrap sp_cell @@ fun () ->
+          let inst = instances.(c / n_algos) in
+          let (a : Algo.deadline) = algos.(c mod n_algos) in
+          let prepared = a.prepare ?spec inst.env inst.dag in
+          let tight = Deadline.tightest ?spec prepared inst.env inst.dag in
+          (match tight with
+          | Some (k, sched) -> check ~validate inst ~deadline:k sched
+          | None -> ());
+          (prepared, tight)
+        in
+        match spec with Some _ -> Array.map cell cells | None -> Pool.map_array p cell cells
       in
       (* the loose deadline couples an instance's cells: barrier here *)
       let loose =
@@ -118,9 +108,10 @@ let deadline ?(validate = false) ?pool ?jobs ?(loose_factor = 1.5) ~algos ~scena
             int_of_float (ceil (loose_factor *. float_of_int !max_tight)))
       in
       (* phase 2: per cell, CPU-hours at the loose deadline (falling back
-         to the tightest-deadline schedule on failure) *)
+         to the tightest-deadline schedule on failure).  Each cell calls
+         only its own prepared closure, so the cells fan out either way. *)
       let cpu =
-        fan p spec
+        Pool.map_array p
           (fun c ->
             Mp_obs.Span.wrap sp_cell @@ fun () ->
             let inst = instances.(c / n_algos) in

@@ -371,6 +371,15 @@ let test_deadline_backward_precedence () =
 (* ------------------------------------------------------------------ *)
 (* Blind (trial-and-error) scheduling *)
 
+let blind env ?budget dag =
+  let cal = env.Env.calendar in
+  let engine =
+    Mp_service.Engine.create
+      ~sites:[| { Mp_service.Engine.calendar = cal; q = Calendar.procs cal } |]
+      ()
+  in
+  Blind.schedule ?budget ~q:env.q ~engine dag
+
 let test_blind_matches_omniscient_with_large_budget () =
   (* With enough probes per task, the trial-and-error scheduler finds the
      same earliest-completion placements as the calendar-reading one. *)
@@ -378,9 +387,8 @@ let test_blind_matches_omniscient_with_large_budget () =
     let env = busy_env seed in
     let dag = random_dag (seed + 500) in
     let omniscient = Ressched.schedule ~bl:BL_CPAR ~bd:BD_CPAR env dag in
-    let probe = Mp_service.Probe.create env.calendar in
-    let blind = Blind.schedule ~budget:10_000 ~q:env.q ~probe dag in
-    if blind <> omniscient then
+    let sched, _ = blind env ~budget:10_000 dag in
+    if sched <> omniscient then
       Alcotest.failf "seed %d: blind schedule differs from omniscient BD_CPAR" seed
   done
 
@@ -389,8 +397,7 @@ let test_blind_valid_with_small_budget () =
     (fun budget ->
       let env = busy_env 45 in
       let dag = random_dag 46 in
-      let probe = Mp_service.Probe.create env.calendar in
-      let sched = Blind.schedule ~budget ~q:env.q ~probe dag in
+      let sched, _ = blind env ~budget dag in
       check_valid env dag sched)
     [ 1; 2; 4; 8 ]
 
@@ -401,8 +408,7 @@ let test_blind_budget_improves_quality () =
     for seed = 47 to 52 do
       let env = busy_env seed in
       let dag = random_dag (seed + 600) in
-      let probe = Mp_service.Probe.create env.calendar in
-      acc := !acc + Schedule.turnaround (Blind.schedule ~budget ~q:env.q ~probe dag)
+      acc := !acc + Schedule.turnaround (fst (blind env ~budget dag))
     done;
     !acc
   in
@@ -411,17 +417,14 @@ let test_blind_budget_improves_quality () =
 let test_blind_counts_probes () =
   let env = busy_env 53 in
   let dag = random_dag 54 in
-  let probe = Mp_service.Probe.create env.calendar in
-  let (_ : Schedule.t) = Blind.schedule ~q:env.q ~probe dag in
-  Alcotest.(check bool) "at least one probe per task" true
-    (Mp_service.Probe.probes probe >= Dag.n dag)
+  let _, requests = blind env dag in
+  Alcotest.(check bool) "at least one probe per task" true (requests >= Dag.n dag)
 
 let test_blind_invalid_budget () =
   let env = Env.no_reservations ~p:4 in
   let dag = diamond () in
-  let probe = Mp_service.Probe.create env.calendar in
   Alcotest.check_raises "budget < 1" (Invalid_argument "Blind.schedule: budget < 1") (fun () ->
-      ignore (Blind.schedule ~budget:0 ~q:4 ~probe dag))
+      ignore (blind env ~budget:0 dag))
 
 (* ------------------------------------------------------------------ *)
 (* Hressched (heterogeneous multi-cluster) *)
@@ -731,22 +734,13 @@ let prop_bd_cpar_cpu_not_more_than_bd_all =
       total BD_CPAR <= total BD_ALL +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Speculation: lending a pool must not change a single byte of any
-   schedule, chosen deadline or λ — the intra-schedule-parallelism
-   determinism pin (see "Intra-schedule speculation" in DESIGN.md). *)
+(* Speculation: lending a pool to a tightest-deadline search must not
+   change a single byte of the chosen deadline or its schedule — the
+   intra-schedule-parallelism determinism pin (see "Intra-schedule
+   speculation" in DESIGN.md). *)
 
 let with_spec jobs f =
   Mp_prelude.Pool.with_pool ~jobs (fun p -> f (Speculate.create p))
-
-let prop_spec_ressched_equals_seq =
-  QCheck.Test.make ~name:"speculative ressched = sequential (jobs 1,2,4)" ~count:12 arb_seed
-    (fun seed ->
-      let env = busy_env seed in
-      let dag = random_dag ~n:15 (seed + 9000) in
-      let reference = Ressched.schedule env dag in
-      List.for_all
-        (fun jobs -> with_spec jobs (fun spec -> Ressched.schedule ~spec env dag = reference))
-        [ 1; 2; 4 ])
 
 let prop_spec_deadline_equals_seq =
   QCheck.Test.make ~name:"speculative deadline search = sequential (jobs 1,2,4)" ~count:6
@@ -761,20 +755,15 @@ let prop_spec_deadline_equals_seq =
                   (* same-spec convention: a prepared closure is driven
                      only by searches given the spec it was prepared
                      under *)
-                  let seq_tight = Deadline.tightest (a.prepare env dag) env dag in
-                  let spec_tight = Deadline.tightest ~spec (a.prepare ~spec env dag) env dag in
-                  seq_tight = spec_tight
-                  &&
-                  match seq_tight with
-                  | None -> true
-                  | Some (k, _) ->
-                      a.run env dag ~deadline:(2 * k) = a.run ~spec env dag ~deadline:(2 * k))
+                  Deadline.tightest (a.prepare env dag) env dag
+                  = Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
                 robust_deadline_algos))
         [ 1; 2; 4 ])
 
 (* With the decision journal on, speculation stands down by itself: the
-   journaled story — a process-global, order-sensitive instrument — must
-   be the sequential one, entry for entry, even when a spec is passed. *)
+   journaled story of a tightest search — a process-global,
+   order-sensitive instrument — must be the sequential one, entry for
+   entry, even when a spec is passed. *)
 let test_spec_journal_stand_down () =
   let module Journal = Mp_forensics.Journal in
   let env = busy_env 5 in
@@ -791,19 +780,17 @@ let test_spec_journal_stand_down () =
         Journal.reset ();
         (sched, entries)
       in
-      let seq_r, seq_entries = journaled (fun () -> Ressched.schedule env dag) in
-      let spec_r, spec_entries = journaled (fun () -> Ressched.schedule ~spec env dag) in
-      Alcotest.(check bool) "journaled ressched identical" true (seq_r = spec_r);
-      Alcotest.(check int)
-        "ressched journal length identical" (List.length seq_entries)
-        (List.length spec_entries);
-      Alcotest.(check bool) "ressched journal identical" true (seq_entries = spec_entries);
       let a = List.hd robust_deadline_algos in
-      let k = 2 * Schedule.turnaround seq_r in
-      let seq_d, seq_dent = journaled (fun () -> a.run env dag ~deadline:k) in
-      let spec_d, spec_dent = journaled (fun () -> a.run ~spec env dag ~deadline:k) in
-      Alcotest.(check bool) "journaled deadline identical" true (seq_d = spec_d);
-      Alcotest.(check bool) "deadline journal identical" true (seq_dent = spec_dent))
+      let seq_d, seq_entries = journaled (fun () -> Deadline.tightest (a.prepare env dag) env dag) in
+      let spec_d, spec_entries =
+        journaled (fun () -> Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
+      in
+      Alcotest.(check bool) "journaled tightest identical" true (seq_d = spec_d);
+      Alcotest.(check bool) "journal not empty" true (seq_entries <> []);
+      Alcotest.(check int)
+        "tightest journal length identical" (List.length seq_entries)
+        (List.length spec_entries);
+      Alcotest.(check bool) "tightest journal identical" true (seq_entries = spec_entries))
 
 (* The busy flag: a nested acquire while a search holds the pool must
    refuse, and release must restore it. *)
@@ -835,7 +822,6 @@ let () =
         prop_prepared_equals_direct;
         prop_hetero_valid_on_random_grids;
         prop_bd_cpar_cpu_not_more_than_bd_all;
-        prop_spec_ressched_equals_seq;
         prop_spec_deadline_equals_seq;
       ]
   in

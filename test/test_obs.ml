@@ -1,6 +1,6 @@
 (* Mp_obs: unit tests for the probe primitives, the determinism contract
    (tracing does not change scheduler output) and lossless merging of the
-   per-domain buffers under the Pool.
+   per-domain buffers across worker domains.
 
    The obs registry and buffers are process-global, so every test starts
    from [Mp_obs.reset ()] and runs the observed section under
@@ -8,7 +8,6 @@
 
 module Obs = Mp_obs
 module Rng = Mp_prelude.Rng
-module Pool = Mp_prelude.Pool
 module Dag_gen = Mp_dag.Dag_gen
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
@@ -365,32 +364,33 @@ let test_tracing_does_not_change_schedules =
       blind = traced)
 
 (* ------------------------------------------------------------------ *)
-(* Concurrency: per-domain buffers merge losslessly under the Pool *)
+(* Concurrency: per-domain buffers merge losslessly across worker domains *)
 
 let c_par = Obs.Counter.make "test.par.counter"
 let t_par = Obs.Timer.make "test.par.timer"
 let sp_par = Obs.Span.make "test.par.span"
 
-let merge_under_pool jobs () =
+let merge_across_domains jobs () =
   Obs.reset ();
   let n = 200 in
-  let items = Array.init n (fun i -> i) in
-  let out =
-    (* the Static executor pins item i to worker i mod jobs, so every
-       worker domain is guaranteed to record events — under the stealing
-       default a fast caller can legally drain the whole batch alone,
-       which would make the >1-domain assertion below racy *)
-    Obs.with_enabled (fun () ->
-        Pool.with_pool ~strategy:Pool.Static ~jobs (fun p ->
-            Pool.map_array p
-              (fun i ->
-                Obs.Span.wrap sp_par @@ fun () ->
-                Obs.Counter.add c_par i;
-                let t0 = Obs.Timer.start () in
-                Obs.Timer.stop t_par t0;
-                i * 2)
-              items))
+  let out = Array.make n 0 in
+  (* explicit domains, worker [w] taking items w, w + jobs, …: every
+     worker is guaranteed to record events, which the >1-domain assertion
+     below needs (a work-stealing pool may legally let one fast worker
+     drain the whole batch) *)
+  let worker w () =
+    let i = ref w in
+    while !i < n do
+      Obs.Span.wrap sp_par (fun () ->
+          Obs.Counter.add c_par !i;
+          let t0 = Obs.Timer.start () in
+          Obs.Timer.stop t_par t0;
+          out.(!i) <- !i * 2);
+      i := !i + jobs
+    done
   in
+  Obs.with_enabled (fun () ->
+      List.iter Domain.join (List.init jobs (fun w -> Domain.spawn (worker w))));
   Alcotest.(check int) "results merged in order" (n * (n - 1))
     (Array.fold_left ( + ) 0 out);
   let snap = Obs.Snapshot.take () in
@@ -456,7 +456,7 @@ let () =
         [ QCheck_alcotest.to_alcotest test_tracing_does_not_change_schedules ] );
       ( "concurrency",
         [
-          Alcotest.test_case "merge under pool, jobs=2" `Quick (merge_under_pool 2);
-          Alcotest.test_case "merge under pool, jobs=4" `Quick (merge_under_pool 4);
+          Alcotest.test_case "merge under pool, jobs=2" `Quick (merge_across_domains 2);
+          Alcotest.test_case "merge under pool, jobs=4" `Quick (merge_across_domains 4);
         ] );
     ]

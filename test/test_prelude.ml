@@ -249,18 +249,6 @@ let test_pool_reentrant_map () =
             [ 1; 2 ] (Pool.map p succ [ 0; 1 ])))
     [ 1; 2; 4 ]
 
-let test_pool_static_strategy () =
-  let xs = List.init 50 Fun.id in
-  let f x = (x * 7) mod 13 in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~strategy:Pool.Static ~jobs (fun p ->
-          Alcotest.(check bool) "strategy accessor" true (Pool.strategy p = Pool.Static);
-          Alcotest.(check (list int))
-            (Printf.sprintf "static jobs=%d" jobs)
-            (List.map f xs) (Pool.map p f xs)))
-    [ 1; 3 ]
-
 let test_pool_first_some_basic () =
   Pool.with_pool ~jobs:4 (fun p ->
       Alcotest.(check (option (pair int int)))
@@ -418,7 +406,6 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "uniform errors across jobs" `Quick test_pool_uniform_errors;
           Alcotest.test_case "re-entrant map rejected" `Quick test_pool_reentrant_map;
-          Alcotest.test_case "static reference strategy" `Quick test_pool_static_strategy;
           Alcotest.test_case "first_some selection" `Quick test_pool_first_some_basic;
           Alcotest.test_case "first_some exceptions" `Quick test_pool_first_some_exceptions;
         ] );

@@ -1,19 +1,17 @@
 (* Mp_service: the typed request/response protocol, the engine and its
-   admission control, the deprecated Probe facade, and the serve CLI.
+   admission control, and the serve CLI.
 
    The load-bearing pins here:
    - JSON round-trips for Request/Response/envelope (the serve protocol);
    - the engine's [run] is jobs-invariant: any pool size yields identical
      outcomes and final calendars (the --jobs contract of [mpres serve]);
    - cancelling a reservation that is not held answers an [Error] naming
-     the reservation (and the facade raises the same message) — the old
-     [Probe.cancel] raised a bare "reservation was not granted". *)
+     the reservation. *)
 
 module Request = Mp_service.Request
 module Response = Mp_service.Response
 module Engine = Mp_service.Engine
 module Stream = Mp_service.Stream
-module Probe = Mp_service.Probe
 module Serve = Mp_core.Serve
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
@@ -30,58 +28,58 @@ let contains hay needle =
 let dag_of_seed ?(n = 8) seed = Dag_gen.generate (Rng.create seed) { Dag_gen.default with n }
 
 (* ------------------------------------------------------------------ *)
-(* Probe facade (migrated from test_platform.ml when Probe became a
-   client of the engine) *)
+(* Trial-and-error protocol: [Reserve]/[Cancel] against a single-site
+   engine, as [Mp_core.Blind] drives it *)
+
+let reserve e ~start ~dur ~procs = Engine.handle e ~site:0 (Request.Reserve { start; dur; procs })
+let one_site cal = Engine.create ~sites:[| { Engine.calendar = cal; q = Calendar.procs cal } |] ()
 
 let test_probe_grant_and_count () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  (match Probe.request p ~start:0 ~dur:10 ~procs:4 with
+  let e = one_site (Calendar.create ~procs:4) in
+  (match reserve e ~start:0 ~dur:10 ~procs:4 with
   | Response.Granted -> ()
   | r -> Alcotest.failf "expected grant, got %s" (Response.to_string r));
-  Alcotest.(check int) "one probe" 1 (Probe.probes p);
-  Alcotest.(check int) "one granted" 1 (List.length (Probe.granted p));
-  Alcotest.(check int) "hidden calendar updated" 0 (Calendar.available_at (Probe.reveal p) 5)
+  Alcotest.(check int) "one request" 1 (Engine.requests e);
+  Alcotest.(check int) "one granted" 1 (List.length (Engine.granted e ~site:0));
+  Alcotest.(check int) "calendar updated" 0 (Calendar.available_at (Engine.calendar e ~site:0) 5)
 
 let test_probe_reject_with_suggestion () =
   let cal =
     Calendar.reserve (Calendar.create ~procs:4) (Reservation.make ~start:0 ~finish:100 ~procs:3)
   in
-  let p = Probe.create cal in
-  (match Probe.request p ~start:0 ~dur:10 ~procs:2 with
+  let e = one_site cal in
+  (match reserve e ~start:0 ~dur:10 ~procs:2 with
   | Response.Rejected (Some 100) -> ()
   | r -> Alcotest.failf "expected rejection suggesting 100, got %s" (Response.to_string r));
   (* following the suggestion succeeds *)
-  match Probe.request p ~start:100 ~dur:10 ~procs:2 with
-  | Response.Granted -> Alcotest.(check int) "two probes" 2 (Probe.probes p)
+  match reserve e ~start:100 ~dur:10 ~procs:2 with
+  | Response.Granted -> Alcotest.(check int) "two requests" 2 (Engine.requests e)
   | r -> Alcotest.failf "suggestion was infeasible: %s" (Response.to_string r)
 
 let test_probe_reject_invalid () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  (match Probe.request p ~start:(-5) ~dur:10 ~procs:1 with
+  let e = one_site (Calendar.create ~procs:4) in
+  (match reserve e ~start:(-5) ~dur:10 ~procs:1 with
   | Response.Rejected None -> ()
   | _ -> Alcotest.fail "negative start must be rejected");
-  match Probe.request p ~start:0 ~dur:10 ~procs:5 with
+  match reserve e ~start:0 ~dur:10 ~procs:5 with
   | Response.Rejected None -> ()
   | _ -> Alcotest.fail "oversize must be rejected outright"
 
+(* the not-held message of a second cancel is pinned by "engine cancel
+   not held" below *)
 let test_probe_cancel () =
-  let p = Probe.create (Calendar.create ~procs:4) in
-  ignore (Probe.request p ~start:0 ~dur:10 ~procs:4);
-  let r = List.hd (Probe.granted p) in
-  Probe.cancel p r;
-  Alcotest.(check int) "freed" 4 (Calendar.available_at (Probe.reveal p) 5);
-  Alcotest.(check int) "no longer granted" 0 (List.length (Probe.granted p));
-  (* regression: the double-cancel error names the reservation (the old
-     facade raised a bare "reservation was not granted") *)
-  Alcotest.check_raises "double cancel"
-    (Invalid_argument "Probe.cancel: reservation [0, 10) x 4 is not held") (fun () ->
-      Probe.cancel p r)
+  let e = one_site (Calendar.create ~procs:4) in
+  ignore (reserve e ~start:0 ~dur:10 ~procs:4);
+  (match Engine.handle e ~site:0 (Request.Cancel { start = 0; finish = 10; procs = 4 }) with
+  | Response.Cancelled -> ()
+  | r -> Alcotest.failf "cancel answered %s" (Response.to_string r));
+  Alcotest.(check int) "freed" 4 (Calendar.available_at (Engine.calendar e ~site:0) 5);
+  Alcotest.(check int) "no longer granted" 0 (List.length (Engine.granted e ~site:0))
 
 (* ------------------------------------------------------------------ *)
 (* Engine: per-request semantics *)
 
-let reservation_engine ?(procs = 4) () =
-  Engine.create ~sites:[| { Engine.calendar = Calendar.create ~procs; q = procs } |] ()
+let reservation_engine ?(procs = 4) () = one_site (Calendar.create ~procs)
 
 let test_engine_probe_reads_only () =
   let e = reservation_engine () in

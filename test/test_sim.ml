@@ -261,9 +261,10 @@ let test_runner_deadline_jobs_invariant () =
     [ 2; 4 ]
 
 let test_runner_lending_invariant () =
-  (* fewer cells than workers: the runner stops fanning and lends the
-     pool *into* each cell's schedule computation (Mp_core.Speculate) —
-     the matrices must still match the sequential reference exactly *)
+  (* fewer cells than workers: the deadline runner stops fanning and
+     lends the pool *into* each cell's tightest-deadline search
+     (Mp_core.Speculate) — the matrices must still match the sequential
+     reference exactly; the ressched runner fans as usual *)
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 12 } } in
   let insts = Instance.grid5000 ~seed:31 ~app ~n_dags:1 ~n_cals:1 in
   let algos_r = [ List.hd Algo.ressched_main ] in
