@@ -27,9 +27,6 @@ module Schedule = Mp_cpa.Schedule
 module Algo = Mp_core.Algo
 module Deadline = Mp_core.Deadline
 module Env = Mp_core.Env
-module Journal = Mp_forensics.Journal
-module Analytics = Mp_forensics.Analytics
-module Render = Mp_forensics.Render
 module Workflows = Mp_dag.Workflows
 module Experiments = Mp_sim.Experiments
 module Instance = Mp_sim.Instance
@@ -512,18 +509,7 @@ let serve seed n sites procs queue_limit budget algos jobs dump replay json stat
     Array.init sites (fun _ ->
         { Engine.calendar = Mp_platform.Calendar.create ~procs; q = procs })
   in
-  (* with more workers than sites the per-site fan-out cannot use them
-     all; lend the surplus to each request's tightest-deadline search
-     through a second pool (a pool batch is not re-entrant, so the spec
-     pool must be distinct from the one fanning the sites).  Speculation
-     is output-preserving, so responses stay bit-identical for any
-     --jobs. *)
-  let spec_pool =
-    if jobs > sites then Some (Mp_prelude.Pool.create ~jobs:(jobs - sites + 1) ()) else None
-  in
-  let spec = Option.map Mp_core.Speculate.create spec_pool in
-  Fun.protect ~finally:(fun () -> Option.iter Mp_prelude.Pool.shutdown spec_pool) @@ fun () ->
-  let engine = Serve.engine ?spec ~sites:site_specs () in
+  let engine = Serve.engine ~sites:site_specs () in
   let sink = Engine.Stats.sink ~every:stats_every () in
   let run () =
     let t0 = Mp_obs.now_ns () in

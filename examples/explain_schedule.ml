@@ -39,10 +39,7 @@ let () =
 
   (* Journal the run.  Journaling is record-only: the schedule is
      bit-identical to an un-journaled [Ressched.schedule env dag]. *)
-  Journal.reset ();
-  let sched = Journal.with_enabled (fun () -> Ressched.schedule env dag) in
-  let entries = Journal.take () in
-  Journal.reset ();
+  let sched, entries = Journal.record (fun () -> Ressched.schedule env dag) in
 
   (* 1. The decision story: every candidate each task considered, why it
      was rejected (no fit / beaten / early-cut), and the winning slot. *)

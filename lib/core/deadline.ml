@@ -31,7 +31,8 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
      candidate can start later, so the scan stops.  On loose deadlines the
      very first candidate ends the loop. *)
   let nps = cands.Task.nps and durs = cands.Task.durs in
-  if !Mp_forensics.Journal.enabled then
+  let journal = Mp_forensics.Journal.enabled () in
+  if journal then
     Mp_forensics.Journal.begin_placement Mp_forensics.Journal.Backward ~task:task.Task.id
       ~anchor:dl ~bound:cands.Task.bound ~evaluated:(Array.length nps);
   (* All candidates query the same calendar state toward the same
@@ -55,7 +56,7 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
              candidates (starts of beaten fits) stay exactly as before;
              the extra work is placement-identical by the same argument. *)
           let earliest =
-            if !Mp_forensics.Journal.enabled then 0
+            if journal then 0
             else match best with None -> 0 | Some (bs, _, _) -> max 0 bs
           in
           match Calendar.Txn.latest_fit_scan scan ~earliest ~procs:np ~dur with
@@ -85,7 +86,8 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
   let threshold = max 0 threshold in
   let nps = cands.Task.nps and durs = cands.Task.durs in
   let n_cands = Array.length nps in
-  if !Mp_forensics.Journal.enabled then begin
+  let journal = Mp_forensics.Journal.enabled () in
+  if journal then begin
     Mp_forensics.Journal.begin_placement Mp_forensics.Journal.Conservative ~task:task.Task.id
       ~anchor:dl ~bound:cands.Task.bound ~evaluated:n_cands;
     match jctx with
@@ -109,10 +111,10 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
            at the window's edge instead of walking to the calendar's empty
            tail.  Unbounded when the journal is on, so the recorded fit of
            a deadline-missing candidate stays exactly as before. *)
-        let limit = if !Mp_forensics.Journal.enabled then max_int else dl - dur in
+        let limit = if journal then max_int else dl - dur in
         match Calendar.Txn.earliest_fit ~limit cal ~after:threshold ~procs:np ~dur with
         | Some s when s + dur <= dl ->
-            if !Mp_forensics.Journal.enabled then begin
+            if journal then begin
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:(Some s)
                 Mp_forensics.Journal.Leading;
               Mp_forensics.Journal.end_placement ~procs:np ~start:s ~finish:(s + dur)
@@ -215,7 +217,7 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
           reference + int_of_float (Float.round (lambda *. float_of_int (dl - reference)))
         in
         let jctx =
-          if !Mp_forensics.Journal.enabled then Some (reference, lambda) else None
+          if Mp_forensics.Journal.enabled () then Some (reference, lambda) else None
         in
         match place_conservative ?jctx cal (Dag.task dag i) ~dl ~threshold ~cands:cons_cands.(i) with
         | Some slot -> Some slot

@@ -26,7 +26,8 @@ let place_cands_fit ?(kind = Mp_forensics.Journal.Forward) ~fit task ~ready
      [ready + dur] — so the scan stops, which on lightly loaded calendars
      reduces the inner loop to a handful of fit queries. *)
   let nps = cands.Task.nps and durs = cands.Task.durs in
-  if !Mp_forensics.Journal.enabled then
+  let journal = Mp_forensics.Journal.enabled () in
+  if journal then
     Mp_forensics.Journal.begin_placement kind ~task:task.Task.id ~anchor:ready
       ~bound:cands.Task.bound ~evaluated:(Array.length nps);
   let rec go best c =
@@ -45,7 +46,7 @@ let place_cands_fit ?(kind = Mp_forensics.Journal.Forward) ~fit task ~ready
              every remaining start exceeds [bf - dur].  Unbounded with the
              journal on, so recorded beaten fits stay exactly as before. *)
           let limit =
-            if !Mp_forensics.Journal.enabled then max_int
+            if journal then max_int
             else match best with None -> max_int | Some (_, bf, _) -> bf - dur
           in
           match fit ~after:ready ~limit ~procs:np ~dur with

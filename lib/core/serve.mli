@@ -21,24 +21,21 @@
 
     {2 Concurrency}
 
-    Whole-DAG work (submit and explain) serializes on one process-wide
-    lock: the decision journal that {!explain} records through is a
-    process-global instrument, so two concurrent journaled runs would
-    interleave their stories.  The reservation-protocol hot path
-    ([Reserve]/[Probe]/[Cancel]) never takes this lock; {!explain} drops
-    foreign [Grant] entries from its journal snapshot, so reports stay
-    deterministic even while other sites grant reservations
-    concurrently. *)
+    No lock: requests on different sites run in parallel, whole-DAG work
+    included.  Sites share no mutable state, and the decision journal
+    that {!explain} records through belongs to the domain running the
+    request ({!Mp_forensics.Journal.record}), so concurrent explains,
+    submits and reservation traffic never reach each other's reports. *)
 
 val handlers : ?spec:Speculate.t -> unit -> Mp_service.Engine.handlers
 (** The registry-backed handlers: plug into
     {!Mp_service.Engine.create}.  [?spec] lends a pool to each request's
     tightest-deadline search (see {!Speculate}); it must be a pool
     {e distinct} from the one fanning the engine's per-site streams (a
-    pool batch is not re-entrant).  Whole-DAG work serializes on the
-    process-wide lock, so at most one request speculates at a time, and
-    speculation is output-preserving: responses are bit-identical with
-    or without it. *)
+    pool batch is not re-entrant).  Concurrent requests share its busy
+    flag, so one search speculates at a time and the others run
+    sequentially.  Speculation is output-preserving: responses are
+    bit-identical with or without it. *)
 
 val engine :
   ?spec:Speculate.t -> sites:Mp_service.Engine.site_spec array -> unit -> Mp_service.Engine.t

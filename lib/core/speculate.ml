@@ -23,15 +23,10 @@ let create pool = { pool; busy = Atomic.make false }
 let acquire = function
   | None -> None
   | Some t ->
-      (* Stand down whenever speculating could change observable output
-         (the journal records every placement, and speculative probes
-         would record theirs from other domains) or could not help
-         (sequential pool).  The busy flag makes the pool's
-         non-reentrancy a graceful degradation instead of an error: an
-         inner search attempted while an outer one holds the pool simply
-         runs sequentially — deterministically so, because the outer
-         search holds the flag for its whole duration. *)
-      if Pool.jobs t.pool < 2 || !Journal.enabled then None
+      (* The stand-down rules are listed in the interface.  The busy
+         flag turns the pool's non-reentrancy into a sequential fallback,
+         deterministic because the outer search holds it throughout. *)
+      if Pool.jobs t.pool < 2 || Journal.enabled () then None
       else if Atomic.compare_and_set t.busy false true then Some t
       else None
 

@@ -14,9 +14,9 @@
     Speculation {e stands down} — {!acquire} returns [None] and the
     caller runs its plain sequential path — whenever:
 
-    - the decision journal is on ({!Mp_forensics.Journal.enabled}): the
-      journal is a process-global, order-sensitive instrument, same
-      precedent as the journal-on unbounded-fit fallback;
+    - the decision journal is on for the calling domain
+      ({!Mp_forensics.Journal.enabled}): probes fanned to other domains
+      would go unrecorded;
     - the pool is sequential ([jobs = 1]): nothing to lend;
     - another search already holds the pool (the busy flag): a
       {!Mp_prelude.Pool} batch is not re-entrant, so the {e outermost}

@@ -132,7 +132,7 @@ let allocate ?(criterion = Improved) ~p dag =
   in
   loop ();
   Mp_obs.Timer.stop t_allocate obs_t0;
-  if !Mp_forensics.Journal.enabled then begin
+  if Mp_forensics.Journal.enabled () then begin
     (* Each iteration grows exactly one allocation by 1 from the all-ones
        start, so the iteration count is recoverable from the total. *)
     let total_alloc = Array.fold_left ( + ) 0 allocs in

@@ -44,7 +44,7 @@ let map dag ~allocs ~p =
           slots.(i) <- { start = s; finish = s + dur; procs = np })
     order;
   Mp_obs.Timer.stop t_map obs_t0;
-  if !Mp_forensics.Journal.enabled then begin
+  if Mp_forensics.Journal.enabled () then begin
     let makespan =
       Array.fold_left (fun acc (s : Schedule.slot) -> max acc s.finish) 0 slots
     in

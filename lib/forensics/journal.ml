@@ -1,17 +1,11 @@
-(* Typed decision journal behind one runtime switch.
+(* Typed decision journal, one per domain.
 
-   Hot-path discipline mirrors Mp_obs: every probe first reads [enabled]
-   and falls through on false — no allocation, no lock.  When enabled, a
-   probe touches only its own domain's buffer (domain-local storage);
-   the global mutex guards the cold paths (buffer registry, take/reset
-   at quiescence). *)
-
-let enabled = ref false
-
-let with_enabled f =
-  let prev = !enabled in
-  enabled := true;
-  Fun.protect ~finally:(fun () -> enabled := prev) f
+   Hot-path discipline mirrors Mp_obs: every probe first reads the
+   calling domain's switch (behind the [counts] hint) and falls through
+   on false — no allocation, no lock.  The switch, the entry buffer and
+   the open placement all live in one domain-local record, so a
+   journaled run on one domain neither sees nor disturbs work on any
+   other. *)
 
 type kind = Forward | Backward | Conservative | Online_forward
 
@@ -52,7 +46,7 @@ type entry =
   | Cpa_map of { p : int; n_tasks : int; makespan : int }
   | Grant of { start : int; finish : int; procs : int; granted : bool }
 
-(* --- per-domain buffers ---------------------------------------------- *)
+(* --- per-domain state ------------------------------------------------ *)
 
 type partial = {
   p_kind : kind;
@@ -66,35 +60,48 @@ type partial = {
   mutable p_cands : cand list; (* reversed *)
 }
 
-type buffer = {
-  order : int; (* registration order, for a stable cross-domain merge *)
+type state = {
+  mutable on : bool;
   mutable entries : entry list; (* reversed *)
   mutable cur : partial option;
 }
 
-let mutex = Mutex.create ()
-let buffers : buffer list ref = ref []
-let n_buffers = ref 0
-
-let key : buffer Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      Mutex.lock mutex;
-      let b = { order = !n_buffers; entries = []; cur = None } in
-      incr n_buffers;
-      buffers := b :: !buffers;
-      Mutex.unlock mutex;
-      b)
+let key : state Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { on = false; entries = []; cur = None })
 
 let buf () = Domain.DLS.get key
 
-let reset () =
-  Mutex.lock mutex;
-  List.iter
-    (fun b ->
-      b.entries <- [];
-      b.cur <- None)
-    !buffers;
-  Mutex.unlock mutex
+(* How many domains are inside [record]: probes read it first, so a
+   disabled probe is one plain load, not a DLS lookup.  The count sits
+   mid-way through a padded block, alone on its cache line, because
+   probes on every domain read it and a neighbour written by another
+   domain would make each read a miss (a one-cell atomic cost
+   deadline-solve several percent).  [count_lock] serializes updates;
+   probes read without it, safely, since a recording domain always sees
+   its own increment. *)
+let counts = Array.make 17 0
+let slot = 8
+let count_lock = Mutex.create ()
+let add_recording n = Mutex.protect count_lock (fun () -> counts.(slot) <- counts.(slot) + n)
+let[@inline] enabled () = Array.unsafe_get counts slot > 0 && (buf ()).on
+
+let record f =
+  let b = buf () in
+  let on = b.on and outer = b.entries and cur = b.cur in
+  b.on <- true;
+  b.entries <- [];
+  b.cur <- None;
+  add_recording 1;
+  Fun.protect
+    ~finally:(fun () ->
+      add_recording (-1);
+      (* an enclosing record keeps what this one captured *)
+      b.entries <- (if on then b.entries @ outer else outer);
+      b.on <- on;
+      b.cur <- cur)
+    (fun () ->
+      let v = f () in
+      (v, List.rev b.entries))
 
 (* --- probe points ----------------------------------------------------- *)
 
@@ -115,7 +122,7 @@ let[@inline never] begin_placement_on k ~task ~anchor ~bound ~evaluated =
       }
 
 let[@inline] begin_placement k ~task ~anchor ~bound ~evaluated =
-  if !enabled then begin_placement_on k ~task ~anchor ~bound ~evaluated
+  if enabled () then begin_placement_on k ~task ~anchor ~bound ~evaluated
 
 let[@inline never] note_reference_on ~reference ~threshold ~lambda =
   match (buf ()).cur with
@@ -126,14 +133,14 @@ let[@inline never] note_reference_on ~reference ~threshold ~lambda =
       p.p_lambda <- Some lambda
 
 let[@inline] note_reference ~reference ~threshold ~lambda =
-  if !enabled then note_reference_on ~reference ~threshold ~lambda
+  if enabled () then note_reference_on ~reference ~threshold ~lambda
 
 let[@inline never] cand_on ~procs ~dur ~fit verdict =
   match (buf ()).cur with
   | None -> ()
   | Some p -> p.p_cands <- { procs; dur; fit; verdict } :: p.p_cands
 
-let[@inline] cand ~procs ~dur ~fit verdict = if !enabled then cand_on ~procs ~dur ~fit verdict
+let[@inline] cand ~procs ~dur ~fit verdict = if enabled () then cand_on ~procs ~dur ~fit verdict
 
 let close b won =
   match b.cur with
@@ -160,39 +167,32 @@ let[@inline never] end_placement_on ~procs ~start ~finish =
   close (buf ()) (Some (procs, start, finish))
 
 let[@inline] end_placement ~procs ~start ~finish =
-  if !enabled then end_placement_on ~procs ~start ~finish
+  if enabled () then end_placement_on ~procs ~start ~finish
 
 let[@inline never] end_placement_failed_on () = close (buf ()) None
-let[@inline] end_placement_failed () = if !enabled then end_placement_failed_on ()
+let[@inline] end_placement_failed () = if enabled () then end_placement_failed_on ()
 
 let[@inline never] cpa_alloc_on ~p ~iterations ~n_tasks ~total_alloc =
   let b = buf () in
   b.entries <- Cpa_alloc { p; iterations; n_tasks; total_alloc } :: b.entries
 
 let[@inline] cpa_alloc ~p ~iterations ~n_tasks ~total_alloc =
-  if !enabled then cpa_alloc_on ~p ~iterations ~n_tasks ~total_alloc
+  if enabled () then cpa_alloc_on ~p ~iterations ~n_tasks ~total_alloc
 
 let[@inline never] cpa_map_on ~p ~n_tasks ~makespan =
   let b = buf () in
   b.entries <- Cpa_map { p; n_tasks; makespan } :: b.entries
 
-let[@inline] cpa_map ~p ~n_tasks ~makespan = if !enabled then cpa_map_on ~p ~n_tasks ~makespan
+let[@inline] cpa_map ~p ~n_tasks ~makespan = if enabled () then cpa_map_on ~p ~n_tasks ~makespan
 
 let[@inline never] grant_on ~start ~finish ~procs ~granted =
   let b = buf () in
   b.entries <- Grant { start; finish; procs; granted } :: b.entries
 
 let[@inline] grant ~start ~finish ~procs ~granted =
-  if !enabled then grant_on ~start ~finish ~procs ~granted
+  if enabled () then grant_on ~start ~finish ~procs ~granted
 
 (* --- export ----------------------------------------------------------- *)
-
-let take () =
-  Mutex.lock mutex;
-  let bufs = List.sort (fun a b -> compare a.order b.order) !buffers in
-  let entries = List.concat_map (fun b -> List.rev b.entries) bufs in
-  Mutex.unlock mutex;
-  entries
 
 let placements entries =
   List.filter_map (function Placement p -> Some p | _ -> None) entries

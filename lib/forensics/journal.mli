@@ -15,24 +15,21 @@
     the instrumented code, so enabling the journal cannot change any
     scheduling decision ([test_forensics.ml] pins journal-on = journal-off
     schedules).  When {!enabled} is [false] (the default) every probe
-    site reduces to one load-and-branch with no allocation — call sites
-    guard any argument construction behind [if !Journal.enabled].
+    site reduces to a load and a branch with no allocation — call sites
+    guard any argument construction behind [if Journal.enabled () then].
 
     {2 Concurrency}
 
-    Per-domain buffers through domain-local storage, mirroring
-    [Mp_obs]: no lock on the probe path; the global mutex guards only
-    the buffer registry.  {!take} merges at quiescence. *)
+    The switch, the entry buffer and the open placement live in the
+    calling domain's [Domain.DLS] slot, so {!record} captures only its
+    own domain's entries and journaled runs on different domains overlap
+    freely.  A journaled run must stay on one domain: nothing inside a
+    schedule fans out, and [Mp_core.Speculate] stands down while the
+    journal is on. *)
 
-val enabled : bool ref
-(** The runtime switch, [false] by default. *)
-
-val with_enabled : (unit -> 'a) -> 'a
-(** Run a thunk with {!enabled} set, restoring the previous value
-    (normal or exceptional exit). *)
-
-val reset : unit -> unit
-(** Drop every recorded entry (all domains).  Only call at quiescence. *)
+val enabled : unit -> bool
+(** Whether the journal is on for the calling domain; [false] outside
+    {!record}. *)
 
 (** Which placement rule produced an entry. *)
 type kind =
@@ -93,9 +90,12 @@ type entry =
   | Grant of { start : int; finish : int; procs : int; granted : bool }
       (** online: a competing reservation arriving mid-schedule *)
 
-val take : unit -> entry list
-(** Merge every domain's buffer, in recording order (domains in
-    registration order).  Does not reset.  Only call at quiescence. *)
+val record : (unit -> 'a) -> 'a * entry list
+(** [record f] turns the journal on for the calling domain while [f]
+    runs and returns [f]'s result with the entries recorded meanwhile,
+    in recording order.  The previous state is restored on every exit,
+    exceptional ones included, so calls nest: an inner [record] returns
+    its own entries, and the enclosing capture keeps them too. *)
 
 val placements : entry list -> placement list
 (** The [Placement] entries, in order. *)
@@ -107,9 +107,9 @@ val won_slot : entry list -> task:int -> (int * int * int) option
 
 (** {2 Probe points}
 
-    Called by the schedulers.  Every function is a no-op burning one
-    load-and-branch when {!enabled} is false; call sites must guard any
-    argument computation behind [if !Journal.enabled] themselves. *)
+    Called by the schedulers.  Every function is a no-op burning a load
+    and a branch when {!enabled} is false; call sites must guard any
+    argument computation behind [if Journal.enabled ()] themselves. *)
 
 val begin_placement : kind -> task:int -> anchor:int -> bound:int -> evaluated:int -> unit
 (** Open a placement record; [evaluated] is the number of candidate

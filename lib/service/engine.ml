@@ -1,6 +1,5 @@
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
-module Journal = Mp_forensics.Journal
 
 type site_spec = { calendar : Calendar.t; q : int }
 
@@ -176,11 +175,9 @@ let reserve site ~start ~dur ~procs =
     Mp_obs.Span.exit span_commit;
     if granted then begin
       site.held <- r :: site.held;
-      if !Journal.enabled then Journal.grant ~start ~finish:(start + dur) ~procs ~granted:true;
       Response.Granted
     end
     else begin
-      if !Journal.enabled then Journal.grant ~start ~finish:(start + dur) ~procs ~granted:false;
       Mp_obs.Span.enter span_fit;
       let suggestion = Calendar.Txn.earliest_fit site.txn ~after:start ~procs ~dur in
       Mp_obs.Span.exit span_fit;

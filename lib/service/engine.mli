@@ -34,8 +34,7 @@
     Every {!handle} wraps the dispatch in the ["service.request"]
     {!Mp_obs.Span} and ["service.handle"] {!Mp_obs.Timer} and bumps one
     ["service.<kind>"] counter per response ([service.granted],
-    [service.rejected], ...); granted/rejected [Reserve]s are recorded
-    with {!Mp_forensics.Journal.grant}.  Under {!run}, each envelope's
+    [service.rejected], ...).  Under {!run}, each envelope's
     admission decision is the ["service.admission"] span, fit queries and
     calendar mutations inside dispatch are ["service.fit"] and
     ["service.commit"] child spans, and all of a request's spans carry its

@@ -68,33 +68,21 @@ let deadline ?(validate = false) ?pool ?jobs ?(loose_factor = 1.5) ~algos ~scena
   let algo_names = Array.map (fun (a : Algo.deadline) -> a.name) algos in
   let cells = Array.init (n_inst * n_algos) Fun.id in
   with_pool ?pool ?jobs (fun p ->
-      (* With fewer cells than workers, fanning the cells would idle
-         domains; instead the whole pool is lent *into* each cell's
-         tightest-deadline search ({!Mp_core.Speculate}).  Speculation is
-         output-preserving, so the matrices are unchanged — the
-         bit-identical-for-any-jobs pin holds across the policy switch. *)
-      let spec =
-        let n = Array.length cells in
-        if n > 0 && n < Pool.jobs p then Some (Mp_core.Speculate.create p) else None
-      in
       (* phase 1: per cell, the deadline-independent preparation and the
-         tightest achievable deadline.  With a lent spec the pool must
-         stay idle for the search's own waves (a pool batch is not
-         re-entrant), so the cells run in cell order on the calling
-         domain — the same order [Pool.map_array] merges in. *)
+         tightest achievable deadline *)
       let prepared_tight =
         let cell c =
           Mp_obs.Span.wrap sp_cell @@ fun () ->
           let inst = instances.(c / n_algos) in
           let (a : Algo.deadline) = algos.(c mod n_algos) in
-          let prepared = a.prepare ?spec inst.env inst.dag in
-          let tight = Deadline.tightest ?spec prepared inst.env inst.dag in
+          let prepared = a.prepare inst.env inst.dag in
+          let tight = Deadline.tightest prepared inst.env inst.dag in
           (match tight with
           | Some (k, sched) -> check ~validate inst ~deadline:k sched
           | None -> ());
           (prepared, tight)
         in
-        match spec with Some _ -> Array.map cell cells | None -> Pool.map_array p cell cells
+        Pool.map_array p cell cells
       in
       (* the loose deadline couples an instance's cells: barrier here *)
       let loose =
@@ -108,8 +96,7 @@ let deadline ?(validate = false) ?pool ?jobs ?(loose_factor = 1.5) ~algos ~scena
             int_of_float (ceil (loose_factor *. float_of_int !max_tight)))
       in
       (* phase 2: per cell, CPU-hours at the loose deadline (falling back
-         to the tightest-deadline schedule on failure).  Each cell calls
-         only its own prepared closure, so the cells fan out either way. *)
+         to the tightest-deadline schedule on failure) *)
       let cpu =
         Pool.map_array p
           (fun c ->

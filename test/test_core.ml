@@ -761,29 +761,22 @@ let prop_spec_deadline_equals_seq =
         [ 1; 2; 4 ])
 
 (* With the decision journal on, speculation stands down by itself: the
-   journaled story of a tightest search — a process-global,
-   order-sensitive instrument — must be the sequential one, entry for
+   journal records on the domain that runs the search, so the journaled
+   story of a tightest search must be the sequential one, entry for
    entry, even when a spec is passed. *)
 let test_spec_journal_stand_down () =
   let module Journal = Mp_forensics.Journal in
   let env = busy_env 5 in
   let dag = random_dag ~n:12 5005 in
   with_spec 4 (fun spec ->
-      Journal.with_enabled (fun () ->
-          Alcotest.(check bool)
-            "acquire stands down under the journal" true
-            (Speculate.acquire (Some spec) = None));
-      let journaled run =
-        Journal.reset ();
-        let sched = Journal.with_enabled run in
-        let entries = Journal.take () in
-        Journal.reset ();
-        (sched, entries)
-      in
+      let held, _ = Journal.record (fun () -> Speculate.acquire (Some spec)) in
+      Alcotest.(check bool) "acquire stands down under the journal" true (held = None);
       let a = List.hd robust_deadline_algos in
-      let seq_d, seq_entries = journaled (fun () -> Deadline.tightest (a.prepare env dag) env dag) in
+      let seq_d, seq_entries =
+        Journal.record (fun () -> Deadline.tightest (a.prepare env dag) env dag)
+      in
       let spec_d, spec_entries =
-        journaled (fun () -> Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
+        Journal.record (fun () -> Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
       in
       Alcotest.(check bool) "journaled tightest identical" true (seq_d = spec_d);
       Alcotest.(check bool) "journal not empty" true (seq_entries <> []);

@@ -108,19 +108,15 @@ let test_journal_does_not_change_schedules =
       let env = busy_env (s1 + 1) in
       let dag = random_dag (s2 + 1) 15 in
       let plain = Ressched.schedule env dag in
-      Journal.reset ();
-      let journaled = Journal.with_enabled (fun () -> Ressched.schedule env dag) in
-      Journal.reset ();
+      let journaled, _ = Journal.record (fun () -> Ressched.schedule env dag) in
       let deadline = 2 * Schedule.turnaround plain in
       let plain_dl =
         Deadline.resource_conservative ~lambda:0.3 Deadline.DL_RC_CPAR env dag ~deadline
       in
-      Journal.reset ();
-      let journaled_dl =
-        Journal.with_enabled (fun () ->
+      let journaled_dl, _ =
+        Journal.record (fun () ->
             Deadline.resource_conservative ~lambda:0.3 Deadline.DL_RC_CPAR env dag ~deadline)
       in
-      Journal.reset ();
       plain = journaled && plain_dl = journaled_dl)
 
 (* Every scheduled task must have a journal entry whose winning pair is
@@ -139,10 +135,7 @@ let check_won_matches sched entries =
 let test_journal_matches_ressched () =
   let env = busy_env 3 in
   let dag = random_dag 4 20 in
-  Journal.reset ();
-  let sched = Journal.with_enabled (fun () -> Ressched.schedule env dag) in
-  let entries = Journal.take () in
-  Journal.reset ();
+  let sched, entries = Journal.record (fun () -> Ressched.schedule env dag) in
   check_won_matches sched entries;
   Alcotest.(check int) "one placement per task" (Dag.n dag)
     (List.length (Journal.placements entries))
@@ -151,13 +144,10 @@ let test_journal_matches_deadline () =
   let env = busy_env 5 in
   let dag = random_dag 6 15 in
   let loose = 2 * Schedule.turnaround (Ressched.schedule env dag) in
-  Journal.reset ();
-  let sched =
-    Journal.with_enabled (fun () ->
+  let sched, entries =
+    Journal.record (fun () ->
         Deadline.resource_conservative ~lambda:0.5 Deadline.DL_RC_CPAR env dag ~deadline:loose)
   in
-  let entries = Journal.take () in
-  Journal.reset ();
   match sched with
   | None -> Alcotest.fail "loose deadline should be feasible"
   | Some sched ->
@@ -185,10 +175,7 @@ let test_journal_online_grants () =
         if k = 1 then [ Mp_service.Request.Reserve { start = 5_000; dur = 1_000; procs = 2 } ]
         else [])
   in
-  Journal.reset ();
-  let _sched, granted = Journal.with_enabled (fun () -> Online.schedule env ~events dag) in
-  let entries = Journal.take () in
-  Journal.reset ();
+  let (_sched, granted), entries = Journal.record (fun () -> Online.schedule env ~events dag) in
   let grants =
     List.filter_map (function Journal.Grant { granted; _ } -> Some granted | _ -> None) entries
   in
@@ -199,10 +186,7 @@ let test_journal_online_grants () =
 let test_journal_jsonl_and_story () =
   let env = busy_env 11 in
   let dag = random_dag 12 8 in
-  Journal.reset ();
-  let _ = Journal.with_enabled (fun () -> Ressched.schedule env dag) in
-  let entries = Journal.take () in
-  Journal.reset ();
+  let _, entries = Journal.record (fun () -> Ressched.schedule env dag) in
   let jsonl = Journal.to_jsonl entries in
   List.iter
     (fun line ->
@@ -213,6 +197,85 @@ let test_journal_jsonl_and_story () =
   Alcotest.(check bool) "jsonl has placements" true (contains jsonl "\"event\":\"placement\"");
   let story = Journal.story entries in
   Alcotest.(check bool) "story mentions a placement" true (contains story "=> placed:")
+
+(* [record] nests, and restores the previous state on every exit. *)
+let test_journal_record_nests () =
+  let grant start = Journal.grant ~start ~finish:(start + 1) ~procs:1 ~granted:true in
+  let starts = List.filter_map (function Journal.Grant g -> Some g.start | _ -> None) in
+  let raising f =
+    match Journal.record (fun () -> f (); failwith "boom") with
+    | _ -> Alcotest.fail "record swallowed the exception"
+    | exception Failure _ -> ()
+  in
+  let ((), inner), outer =
+    Journal.record (fun () ->
+        grant 1;
+        let r = Journal.record (fun () -> grant 2) in
+        grant 3;
+        r)
+  in
+  Alcotest.(check (list int)) "inner capture" [ 2 ] (starts inner);
+  Alcotest.(check (list int)) "outer capture keeps the inner one" [ 1; 2; 3 ] (starts outer);
+  let (), outer =
+    Journal.record (fun () ->
+        grant 1;
+        raising (fun () -> grant 2);
+        Alcotest.(check bool) "still on after an inner raise" true (Journal.enabled ());
+        grant 3)
+  in
+  Alcotest.(check (list int)) "outer capture after an inner raise" [ 1; 2; 3 ] (starts outer);
+  raising (fun () -> grant 4);
+  Alcotest.(check bool) "off after a raise" false (Journal.enabled ());
+  let (), after = Journal.record (fun () -> grant 5) in
+  Alcotest.(check (list int)) "nothing left over from a raise" [ 5 ] (starts after)
+
+(* The journal belongs to the recording domain: a schedule running on
+   another domain while this one records neither shows up in the capture
+   nor sees the journal on. *)
+let test_journal_domain_isolation () =
+  let env = busy_env 3 and dag = random_dag 4 20 in
+  let other_env = busy_env 13 and other_dag = random_dag 14 20 in
+  let sequential = Journal.record (fun () -> Ressched.schedule env dag) in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let concurrent =
+    Journal.record (fun () ->
+        let other =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              let rec loop saw_on =
+                let saw_on = saw_on || Journal.enabled () in
+                ignore (Ressched.schedule other_env other_dag);
+                if Atomic.get stop then saw_on else loop saw_on
+              in
+              loop false)
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let r = Ressched.schedule env dag in
+        Atomic.set stop true;
+        Alcotest.(check bool) "journal off on the spawned domain" false (Domain.join other);
+        r)
+  in
+  Alcotest.(check bool) "capture equals the sequential capture" true (concurrent = sequential)
+
+(* The zero-overhead contract, as in test_obs.ml: with the journal off,
+   every probe is one domain-local load and a branch, no allocation. *)
+let test_disabled_probes_do_not_allocate () =
+  Alcotest.(check bool) "journal is off" false (Journal.enabled ());
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Journal.begin_placement Journal.Forward ~task:i ~anchor:0 ~bound:4 ~evaluated:4;
+    Journal.note_reference ~reference:0 ~threshold:i ~lambda:0.5;
+    Journal.cand ~procs:1 ~dur:i ~fit:None Journal.No_fit;
+    Journal.end_placement ~procs:1 ~start:0 ~finish:i;
+    Journal.end_placement_failed ();
+    Journal.cpa_alloc ~p:4 ~iterations:i ~n_tasks:2 ~total_alloc:3;
+    Journal.cpa_map ~p:4 ~n_tasks:2 ~makespan:i;
+    Journal.grant ~start:0 ~finish:i ~procs:1 ~granted:true
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) "disabled probes allocate nothing" true (after -. before < 256.)
 
 (* ------------------------------------------------------------------ *)
 (* Renderers: well-formed SVG on edge cases *)
@@ -524,6 +587,10 @@ let () =
             test_journal_matches_deadline;
           Alcotest.test_case "online grant decisions" `Quick test_journal_online_grants;
           Alcotest.test_case "jsonl and story render" `Quick test_journal_jsonl_and_story;
+          Alcotest.test_case "record nests and restores" `Quick test_journal_record_nests;
+          Alcotest.test_case "domain isolation" `Quick test_journal_domain_isolation;
+          Alcotest.test_case "disabled probes do not allocate" `Quick
+            test_disabled_probes_do_not_allocate;
         ] );
       ( "render",
         [

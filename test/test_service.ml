@@ -470,9 +470,9 @@ let prop_response_roundtrip =
    keeps wall_ns at 0, so whole outcome records must be equal; the
    telemetry is compared as rendered JSONL — the exact bytes the CI soak
    diffs across --jobs values. *)
-let run_with_jobs seed jobs =
+let run_with_jobs ?mix seed jobs =
   let envelopes =
-    Stream.generate (Rng.create seed) ~budget:30
+    Stream.generate (Rng.create seed) ?mix ~budget:30
       ~algos:[ "BD_CPAR"; "DL_RCBD_CPAR-l" ]
       ~sites:3 ~procs:16 ~n:80 ()
   in
@@ -498,6 +498,24 @@ let prop_jobs_invariant =
   QCheck.Test.make ~name:"run is jobs-invariant (outcomes, calendars, telemetry)" ~count:4
     (QCheck.make QCheck.Gen.(0 -- 1_000))
     (fun seed -> run_with_jobs seed 1 = run_with_jobs seed 3)
+
+(* Whole-DAG requests on different sites overlap at jobs > 1.  A stream
+   with the serve-dag benchmark's mix must still answer identically,
+   every explain report included: each report is journaled on the domain
+   serving its site and sees nothing recorded on the others. *)
+let test_dag_heavy_jobs_invariant () =
+  let mix = { Stream.reserve = 40; probe = 15; cancel = 10; submit = 30; explain = 5 } in
+  List.iter
+    (fun seed ->
+      let ((outcomes, _, _) as seq) = run_with_jobs ~mix seed 1 in
+      let answered kind =
+        List.exists (fun (o : Engine.outcome) -> Response.kind o.response = kind) outcomes
+      in
+      Alcotest.(check bool) "the stream schedules DAGs" true (answered "scheduled");
+      Alcotest.(check bool) "the stream explains" true (answered "explained");
+      Alcotest.(check bool) (Printf.sprintf "seed %d: jobs 1 = jobs 3" seed) true
+        (seq = run_with_jobs ~mix seed 3))
+    [ 1; 2; 3 ]
 
 (* Replay stability: re-running the engine over the textual round-trip of
    the envelope stream (what --dump writes and --replay reads) yields the
@@ -644,6 +662,8 @@ let () =
           Alcotest.test_case "budget sheds" `Quick test_budget_sheds;
           Alcotest.test_case "flight recorder" `Quick test_run_flight_recorder;
           Alcotest.test_case "unknown site outcome" `Quick test_run_unknown_site;
+          Alcotest.test_case "DAG-heavy run is jobs-invariant" `Quick
+            test_dag_heavy_jobs_invariant;
         ] );
       ("stream", [ Alcotest.test_case "deterministic" `Quick test_stream_deterministic ]);
       ("properties", props);

@@ -260,29 +260,28 @@ let test_runner_deadline_jobs_invariant () =
         (r1.Runner.loose_cpu_hours.values = r.Runner.loose_cpu_hours.values))
     [ 2; 4 ]
 
-let test_runner_lending_invariant () =
-  (* fewer cells than workers: the deadline runner stops fanning and
-     lends the pool *into* each cell's tightest-deadline search
-     (Mp_core.Speculate) — the matrices must still match the sequential
-     reference exactly; the ressched runner fans as usual *)
+let test_runner_few_cells_invariant () =
+  (* fewer cells than workers: both runners still fan their cells over
+     the pool, leaving workers idle, and the matrices must match the
+     sequential reference exactly *)
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 12 } } in
   let insts = Instance.grid5000 ~seed:31 ~app ~n_dags:1 ~n_cals:1 in
   let algos_r = [ List.hd Algo.ressched_main ] in
-  let r1 = Runner.ressched ~jobs:1 ~algos:algos_r ~scenario:"lend" insts in
-  let r4 = Runner.ressched ~jobs:4 ~algos:algos_r ~scenario:"lend" insts in
-  Alcotest.(check bool) "lent ressched tat identical" true
+  let r1 = Runner.ressched ~jobs:1 ~algos:algos_r ~scenario:"few" insts in
+  let r4 = Runner.ressched ~jobs:4 ~algos:algos_r ~scenario:"few" insts in
+  Alcotest.(check bool) "few-cells ressched tat identical" true
     (r1.Runner.tat.values = r4.Runner.tat.values);
-  Alcotest.(check bool) "lent ressched cpu identical" true
+  Alcotest.(check bool) "few-cells ressched cpu identical" true
     (r1.Runner.cpu_hours.values = r4.Runner.cpu_hours.values);
   let algos_d =
     List.filter_map Algo.deadline_find [ "DL_BD_CPA"; "DL_RCBD_CPAR-l" ]
   in
   Alcotest.(check int) "two deadline algos" 2 (List.length algos_d);
-  let d1 = Runner.deadline ~jobs:1 ~algos:algos_d ~scenario:"lend" insts in
-  let d4 = Runner.deadline ~jobs:4 ~algos:algos_d ~scenario:"lend" insts in
-  Alcotest.(check bool) "lent deadline tightest identical" true
+  let d1 = Runner.deadline ~jobs:1 ~algos:algos_d ~scenario:"few" insts in
+  let d4 = Runner.deadline ~jobs:4 ~algos:algos_d ~scenario:"few" insts in
+  Alcotest.(check bool) "few-cells deadline tightest identical" true
     (d1.Runner.tightest.values = d4.Runner.tightest.values);
-  Alcotest.(check bool) "lent deadline cpu identical" true
+  Alcotest.(check bool) "few-cells deadline cpu identical" true
     (d1.Runner.loose_cpu_hours.values = d4.Runner.loose_cpu_hours.values)
 
 let test_runner_worker_exception () =
@@ -570,7 +569,7 @@ let () =
           Alcotest.test_case "deadline validated" `Slow test_runner_deadline;
           Alcotest.test_case "parallel = sequential" `Quick test_runner_parallel_deterministic;
           Alcotest.test_case "deadline jobs-invariant (Table 6 shape)" `Slow test_runner_deadline_jobs_invariant;
-          Alcotest.test_case "pool lending jobs-invariant" `Quick test_runner_lending_invariant;
+          Alcotest.test_case "few cells jobs-invariant" `Quick test_runner_few_cells_invariant;
           Alcotest.test_case "worker exception propagates" `Quick test_runner_worker_exception;
         ] );
       ( "campaign",
