@@ -197,43 +197,6 @@ let rec max_keys t acc ~lo ~hi =
       else if key >= hi then max_keys l acc ~lo ~hi
       else max (v + acc) (max (max_from l acc ~lo) (max_below r acc ~hi))
 
-(* Smallest breakpoint > after with value >= procs; the [mx] summary
-   prunes subtrees that are blocked throughout. *)
-let rec first_clear_after t acc ~after ~procs =
-  match t with
-  | Leaf -> None
-  | Node { l; key; v; r; mx; d; _ } ->
-      visit ();
-      if mx + d + acc < procs then None
-      else
-        let acc = acc + d in
-        if key <= after then first_clear_after r acc ~after ~procs
-        else (
-          match first_clear_after l acc ~after ~procs with
-          | Some _ as s -> s
-          | None ->
-              if v + acc >= procs then Some key
-              else first_clear_after r acc ~after ~procs)
-
-(* Smallest breakpoint in [lo, hi) with value < procs; [mn] prunes
-   subtrees that are clear throughout. *)
-let rec first_block_in t acc ~lo ~hi ~procs =
-  match t with
-  | Leaf -> None
-  | Node { l; key; v; r; mn; d; _ } ->
-      visit ();
-      if mn + d + acc >= procs then None
-      else
-        let acc = acc + d in
-        if key < lo then first_block_in r acc ~lo ~hi ~procs
-        else if key >= hi then first_block_in l acc ~lo ~hi ~procs
-        else (
-          match first_block_in l acc ~lo ~hi ~procs with
-          | Some _ as s -> s
-          | None ->
-              if v + acc < procs then Some key
-              else first_block_in r acc ~lo ~hi ~procs)
-
 (* Greatest breakpoint < hi with value < procs. *)
 let rec last_block_below t acc ~hi ~procs =
   match t with
@@ -371,24 +334,47 @@ let release t ~start ~finish ~procs =
 
 (* Earliest fit.  Candidate starts are [after] and the clear breakpoints
    after it (the minimal feasible start is always one of these: sliding
-   any other feasible start one second earlier stays feasible).  A
-   candidate fails on the first blocking breakpoint inside its window;
-   every candidate up to that blocker is blocked too, so the walk
-   restarts at the first clear breakpoint past it. *)
+   any other feasible start one second earlier stays feasible).  One
+   in-order walk over the breakpoints finds it, carrying its state in a
+   single int: [blocked], or the candidate start [s] of the clear run it
+   is in.  A key <= [after] sets the state from its own value (the last
+   one is the value in force at [after]); a key > [after] blocks the
+   candidate, or opens a new one at its own time.  The walk stops at the
+   first key >= s + dur reached while clear, or at the first key past
+   [limit] reached while blocked, returning that key as a candidate past
+   [limit].  Each node re-checks the stop on the state its left subtree
+   returns, so the stop needs no state of its own.  A subtree is skipped
+   whole when its summary shows that no key inside changes the state:
+   [min >= procs] while clear, [max < procs] while blocked. *)
+let blocked = min_int
+
+let rec fit_walk t acc ~after ~limit ~procs ~dur st =
+  match t with
+  | Leaf -> st
+  | Node { l; key; v; r; mn; mx; d; _ } ->
+      visit ();
+      let acc = acc + d in
+      let unchanged = if st = blocked then mx + acc < procs else mn + acc >= procs in
+      if unchanged then st
+      else if key <= after then
+        fit_walk r acc ~after ~limit ~procs ~dur (if v + acc >= procs then after else blocked)
+      else
+        let st = fit_walk l acc ~after ~limit ~procs ~dur st in
+        let clear = v + acc >= procs in
+        if st = blocked then
+          if key > limit then key
+          else fit_walk r acc ~after ~limit ~procs ~dur (if clear then key else blocked)
+        else if key >= st + dur || st > limit then st
+        else fit_walk r acc ~after ~limit ~procs ~dur (if clear then st else blocked)
+
+(* [after] is clamped above the sentinel key, so a candidate is never
+   [blocked]. *)
 let root_earliest_fit root ~limit ~after ~procs ~dur =
-  let rec attempt s =
-    if s > limit then None
-    else if value_at root s < procs then jump s
-    else
-      match first_block_in root 0 ~lo:(s + 1) ~hi:(s + dur) ~procs with
-      | None -> Some s
-      | Some b -> jump b
-  and jump from_ =
-    match first_clear_after root 0 ~after:from_ ~procs with
-    | None -> None
-    | Some k -> attempt k
-  in
-  attempt after
+  let after = max after (min_int + 1) in
+  if after > limit then None
+  else
+    let s = fit_walk root 0 ~after ~limit ~procs ~dur blocked in
+    if s = blocked || s > limit then None else Some s
 
 let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
   if procs < 1 then invalid_arg "Mp_index.earliest_fit: procs < 1";

@@ -13,9 +13,10 @@
 
     - point lookups, window minima/maxima, {!reserve} and {!release}
       (range adds over the covered breakpoints) are O(log R), and
-    - {!earliest_fit} / {!latest_fit} descend guided by the summaries
-      instead of walking breakpoints, visiting O(log R) nodes per
-      candidate window rather than O(R) overall.
+    - {!earliest_fit} walks the breakpoints after its start once, in
+      order, skipping every subtree whose summary shows it cannot
+      change the answer; {!latest_fit} descends guided by the summaries,
+      visiting O(log R) nodes per candidate window.
 
     [R] is the number of breakpoints ({!breakpoints}), at most
     [2 x reservations + 1].
@@ -91,8 +92,12 @@ val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int o
     after] such that [procs] processors are free over [\[s, s + dur)],
     or [None] if no such start exists (with [~limit], none with
     [s <= limit]).  Candidate starts are [after] and the breakpoints
-    after it; the summaries prune clear spans, so the search visits
-    O(log R) nodes per blocked candidate instead of scanning.  Raises
+    after it.  One in-order walk over those breakpoints finds the
+    answer, skipping any subtree whose (min, max) summary shows that no
+    breakpoint inside blocks the current candidate or opens a new one:
+    it costs about one node visit per breakpoint crossed plus
+    O(log R), and allocates only the returned [Some].  [after] below
+    [min_int + 1] (the sentinel's key) counts as [min_int + 1].  Raises
     [Invalid_argument] if [procs < 1] or [dur < 1]. *)
 
 val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option

@@ -61,17 +61,24 @@ let average_available t ~from_ ~until =
 let can_reserve t (r : Reservation.t) =
   Index.can_reserve t.idx ~start:r.start ~finish:r.finish ~procs:r.procs
 
-let reserve t (r : Reservation.t) =
-  Mp_obs.Counter.incr c_reserve;
+(* One index call checks the window and applies it.  [calendar.reserve]
+   counts and times grants only; a refused {!reserve} still counts as a
+   call. *)
+let reserve_opt t (r : Reservation.t) =
   let t0 = Mp_obs.Timer.start () in
   match Index.reserve t.idx ~start:r.start ~finish:r.finish ~procs:r.procs with
-  | None -> raise (Overcommitted r)
+  | None -> None
   | Some idx ->
-      let t' = { t with idx } in
+      Mp_obs.Counter.incr c_reserve;
       Mp_obs.Timer.stop t_reserve t0;
-      t'
+      Some { t with idx }
 
-let reserve_opt t r = if can_reserve t r then Some (reserve t r) else None
+let reserve t r =
+  match reserve_opt t r with
+  | Some t -> t
+  | None ->
+      Mp_obs.Counter.incr c_reserve;
+      raise (Overcommitted r)
 
 let release t (r : Reservation.t) =
   match Index.release t.idx ~start:r.start ~finish:r.finish ~procs:r.procs with
@@ -123,14 +130,21 @@ module Txn = struct
   let can_reserve t (r : Reservation.t) =
     Index.Txn.can_reserve t.itx ~start:r.start ~finish:r.finish ~procs:r.procs
 
-  let reserve t (r : Reservation.t) =
-    Mp_obs.Counter.incr c_reserve;
+  (* As the persistent {!reserve_opt} / {!reserve}. *)
+  let reserve_opt t (r : Reservation.t) =
     let t0 = Mp_obs.Timer.start () in
-    if not (Index.Txn.reserve t.itx ~start:r.start ~finish:r.finish ~procs:r.procs)
-    then raise (Overcommitted r);
-    Mp_obs.Timer.stop t_reserve t0
+    let granted = Index.Txn.reserve t.itx ~start:r.start ~finish:r.finish ~procs:r.procs in
+    if granted then begin
+      Mp_obs.Counter.incr c_reserve;
+      Mp_obs.Timer.stop t_reserve t0
+    end;
+    granted
 
-  let reserve_opt t r = if can_reserve t r then (reserve t r; true) else false
+  let reserve t r =
+    if not (reserve_opt t r) then begin
+      Mp_obs.Counter.incr c_reserve;
+      raise (Overcommitted r)
+    end
 
   let release t (r : Reservation.t) =
     if not (Index.Txn.release t.itx ~start:r.start ~finish:r.finish ~procs:r.procs)

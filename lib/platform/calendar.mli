@@ -56,7 +56,9 @@ val reserve : t -> Reservation.t -> t
     @raise Overcommitted if availability would go negative. *)
 
 val reserve_opt : t -> Reservation.t -> t option
-(** Non-raising variant of {!reserve}. *)
+(** Non-raising variant of {!reserve}: [None] when it would overcommit.
+    Checks and applies the window in one index call, so there is no
+    need to ask {!can_reserve} first. *)
 
 val release : t -> Reservation.t -> t
 (** Undo a {!reserve}: add the reservation's processors back over its
@@ -121,7 +123,7 @@ module Txn : sig
 
   val reserve_opt : t -> Reservation.t -> bool
   (** Non-raising {!reserve}: [false] (and no change) when it would
-      overcommit. *)
+      overcommit.  One index call, as the persistent {!val:reserve_opt}. *)
 
   val release : t -> Reservation.t -> unit
   (** Undo a {!reserve}, in place.  Raises [Invalid_argument] when the

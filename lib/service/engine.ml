@@ -80,6 +80,11 @@ let ring_recent r k =
    whole-DAG commits go through a trial transaction forked from the
    current snapshot so a failing schedule leaves the site untouched.
 
+   [held] is the multiset of reservations granted to [Reserve] and not
+   yet cancelled: one binding per grant, so two equal grants need two
+   cancels, and a cancel of a triple the site does not hold costs one
+   hash lookup however long the site has run.
+
    The stats fields below are the telemetry state a {!Request.Stats}
    snapshots: all simulated-time or request-count quantities, mutated
    only from the site's own sequential stream (so they stay jobs- and
@@ -88,7 +93,7 @@ let ring_recent r k =
 type site = {
   q : int;
   mutable txn : Calendar.Txn.t;
-  mutable held : Reservation.t list;  (* most recent first *)
+  held : (Reservation.t, unit) Hashtbl.t;
   mutable n_requests : int;
   counts : int array;  (* responses issued, by Response.kind_index *)
   mutable shed_queue : int;
@@ -106,7 +111,7 @@ let create ?(handlers = no_handlers) ~sites () =
     {
       q = s.q;
       txn = Calendar.Txn.start s.calendar;
-      held = [];
+      held = Hashtbl.create 64;
       n_requests = 0;
       counts = Array.make Response.n_kinds 0;
       shed_queue = 0;
@@ -174,7 +179,7 @@ let reserve site ~start ~dur ~procs =
     let granted = Calendar.Txn.reserve_opt site.txn r in
     Mp_obs.Span.exit span_commit;
     if granted then begin
-      site.held <- r :: site.held;
+      Hashtbl.add site.held r ();
       Response.Granted
     end
     else begin
@@ -202,19 +207,14 @@ let cancel site ~start ~finish ~procs =
   if start >= finish || procs < 1 then not_held ()
   else begin
     let r = Reservation.make ~start ~finish ~procs in
-    let rec remove = function
-      | [] -> None
-      | r' :: rest when r' = r -> Some rest
-      | r' :: rest -> Option.map (fun rest -> r' :: rest) (remove rest)
-    in
-    match remove site.held with
-    | None -> not_held ()
-    | Some held ->
-        site.held <- held;
-        Mp_obs.Span.enter span_commit;
-        Calendar.Txn.release site.txn r;
-        Mp_obs.Span.exit span_commit;
-        Response.Cancelled
+    if not (Hashtbl.mem site.held r) then not_held ()
+    else begin
+      Hashtbl.remove site.held r;
+      Mp_obs.Span.enter span_commit;
+      Calendar.Txn.release site.txn r;
+      Mp_obs.Span.exit span_commit;
+      Response.Cancelled
+    end
   end
 
 let submit t site ~algo ~deadline dag =
@@ -248,7 +248,7 @@ let stats_of site ~last =
       shed_budget = site.shed_budget;
       queue_depth = site.queue_depth;
       queue_peak = site.queue_peak;
-      held = List.length site.held;
+      held = Hashtbl.length site.held;
       breakpoints = Calendar.breakpoints (Calendar.Txn.commit site.txn);
       recent = ring_recent site.ring last;
     }
@@ -520,7 +520,8 @@ let requests t = Array.fold_left (fun acc s -> acc + s.n_requests) 0 t.sites
 
 let granted t ~site =
   check_site t site "granted";
-  t.sites.(site).held
+  List.sort Reservation.compare_by_start
+    (Hashtbl.fold (fun r () acc -> r :: acc) t.sites.(site).held [])
 
 let calendar t ~site =
   check_site t site "calendar";

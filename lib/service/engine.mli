@@ -104,8 +104,9 @@ val handle : t -> site:int -> Request.t -> Response.t
       [Mp_core.Blind] drives (nonsensical arguments and [procs] beyond
       the cluster reject with no suggestion);
     - [Probe]: answer the feasibility query, calendar untouched;
-    - [Cancel]: release a reservation granted by a previous [Reserve];
-      [Error] naming the reservation when it is not held;
+    - [Cancel]: release one copy of a reservation granted by a previous
+      [Reserve]; [Error] naming the reservation when it is not held (one
+      hash lookup, whatever the number of held reservations);
     - [Submit_dag]: run the injected handler, then commit the scheduled
       reservations to the site calendar;
     - [Explain]: run the injected handler, calendar untouched;
@@ -181,8 +182,9 @@ val requests : t -> int
     requests never reach service and are not counted). *)
 
 val granted : t -> site:int -> Mp_platform.Reservation.t list
-(** Reservations granted to [Reserve] requests and not yet cancelled, most
-    recent first. *)
+(** Reservations granted to [Reserve] requests and not yet cancelled,
+    sorted by {!Mp_platform.Reservation.compare_by_start}.  A multiset:
+    a triple granted twice appears twice until it is cancelled twice. *)
 
 val calendar : t -> site:int -> Mp_platform.Calendar.t
 (** The site's current calendar. *)

@@ -63,19 +63,25 @@ end
 
 let cap = 5
 
-let gen_soup =
-  QCheck.Gen.(
-    list_size (0 -- 12) (triple (0 -- 40) (1 -- 12) (1 -- cap)) >|= fun triples ->
-    let _, kept =
-      List.fold_left
-        (fun (idx, kept) (s, d, np) ->
-          match Index.reserve idx ~start:s ~finish:(s + d) ~procs:np with
-          | Some idx -> (idx, (s, d, np) :: kept)
-          | None -> (idx, kept))
-        (Index.create ~procs:cap, [])
-        triples
-    in
-    List.rev kept)
+(* The triples that still fit when reserved in order. *)
+let feasible triples =
+  let _, kept =
+    List.fold_left
+      (fun (idx, kept) (s, d, np) ->
+        match Index.reserve idx ~start:s ~finish:(s + d) ~procs:np with
+        | Some idx -> (idx, (s, d, np) :: kept)
+        | None -> (idx, kept))
+      (Index.create ~procs:cap, [])
+      triples
+  in
+  List.rev kept
+
+let gen_soup = QCheck.Gen.(list_size (0 -- 12) (triple (0 -- 40) (1 -- 12) (1 -- cap)) >|= feasible)
+
+(* Dense soups: up to 60 reservations over [0, 150), so a fit query
+   crosses many blocked runs before it finds its window. *)
+let gen_dense_soup =
+  QCheck.Gen.(list_size (0 -- 60) (triple (0 -- 139) (1 -- 10) (1 -- cap)) >|= feasible)
 
 let index_of_soup rs =
   List.fold_left
@@ -88,11 +94,18 @@ let index_of_soup rs =
 let print_soup rs =
   String.concat "; " (List.map (fun (s, d, np) -> Printf.sprintf "[%d,+%d)x%d" s d np) rs)
 
-let arb_scenario =
-  QCheck.make
-    ~print:(fun (rs, (after, np, dur)) ->
-      Printf.sprintf "rs=[%s] after=%d np=%d dur=%d" (print_soup rs) after np dur)
-    QCheck.Gen.(pair gen_soup (triple (0 -- 50) (1 -- cap) (1 -- 10)))
+let print_scenario (rs, (after, np, dur)) =
+  Printf.sprintf "rs=[%s] after=%d np=%d dur=%d" (print_soup rs) after np dur
+
+let gen_scenario = QCheck.Gen.(pair gen_soup (triple (0 -- 50) (1 -- cap) (1 -- 10)))
+let arb_scenario = QCheck.make ~print:print_scenario gen_scenario
+
+(* Fit scenarios mix the sparse soups with dense ones, each with query
+   windows that sweep its span. *)
+let arb_fit_scenario =
+  QCheck.make ~print:print_scenario
+    QCheck.Gen.(
+      oneof [ gen_scenario; pair gen_dense_soup (triple (0 -- 160) (1 -- cap) (1 -- 20)) ])
 
 (* ------------------------------------------------------------------ *)
 (* Persistent form vs reference *)
@@ -111,27 +124,29 @@ let prop_point_and_window_queries =
       && Index.max_in idx ~from_ ~until = Ref_model.max_in ~cap rs ~from_ ~until)
 
 let prop_earliest_fit_matches_reference =
-  QCheck.Test.make ~name:"earliest_fit matches brute force" ~count:400 arb_scenario
+  QCheck.Test.make ~name:"earliest_fit matches brute force" ~count:600 arb_fit_scenario
     (fun (rs, (after, np, dur)) ->
       let idx = index_of_soup rs in
       Index.earliest_fit idx ~after ~procs:np ~dur
       = Ref_model.earliest_fit ~cap rs ~after ~np ~dur)
 
 let prop_bounded_fit_filters =
-  QCheck.Test.make ~name:"earliest_fit ~limit only filters the unbounded answer" ~count:400
-    arb_scenario (fun (rs, (after, np, dur)) ->
+  QCheck.Test.make ~name:"earliest_fit ~limit only filters the unbounded answer" ~count:600
+    arb_fit_scenario (fun (rs, (after, np, dur)) ->
       let idx = index_of_soup rs in
       let unbounded = Index.earliest_fit idx ~after ~procs:np ~dur in
       let ok = ref true in
       (* Sweep limits across the interesting range, including one below
-         [after] and one far past the answer: the bounded query must be
-         exactly the unbounded answer filtered by [s <= limit], never an
-         alternative later-but-within-limit start. *)
+         [after], the answer and the second before it, and one far past
+         the answer: the bounded query must be exactly the unbounded
+         answer filtered by [s <= limit], never an alternative
+         later-but-within-limit start. *)
+      let around = match unbounded with Some s -> [ s - 1; s ] | None -> [] in
       List.iter
         (fun limit ->
           let want = match unbounded with Some s when s <= limit -> Some s | _ -> None in
           if Index.earliest_fit ~limit idx ~after ~procs:np ~dur <> want then ok := false)
-        [ after - 1; after; after + 5; after + 20; after + 200 ];
+        ([ after - 1; after; after + 5; after + 20; after + 200 ] @ around);
       !ok)
 
 let prop_latest_fit_matches_reference =
@@ -312,6 +327,40 @@ let test_breakpoint_count () =
   Index.self_check idx
 
 (* ------------------------------------------------------------------ *)
+(* Visit pin: earliest_fit crosses blocked runs in one walk *)
+
+let visits () =
+  Option.value ~default:0
+    (List.assoc_opt "index.node_visits" (Mp_obs.Snapshot.take ()).Mp_obs.Snapshot.counters)
+
+(* A comb of 1 000 blocked runs: [10i, 10i+5) is full, and each clear gap
+   is one second too short for the query, so the only fit is the tail
+   after the last tooth.  A walk that restarts from the root for every
+   blocked run costs O(K log R) visits; one in-order walk costs about one
+   visit per breakpoint. *)
+let test_comb_one_walk () =
+  Mp_obs.with_enabled (fun () ->
+      let teeth = 1_000 in
+      let idx = ref (Index.create ~procs:4) and txn = Index.Txn.start (Index.create ~procs:4) in
+      for i = 0 to teeth - 1 do
+        idx := Option.get (Index.reserve !idx ~start:(10 * i) ~finish:((10 * i) + 5) ~procs:4);
+        if not (Index.Txn.reserve txn ~start:(10 * i) ~finish:((10 * i) + 5) ~procs:4) then
+          Alcotest.fail "txn refused a comb tooth"
+      done;
+      let bps = Index.breakpoints !idx in
+      Alcotest.(check int) "sentinel + 2 cuts per tooth" ((2 * teeth) + 1) bps;
+      let bound = float_of_int bps +. (8. *. (log (float_of_int bps) /. log 2.)) in
+      let pin form fit =
+        let v0 = visits () in
+        Alcotest.(check (option int)) (form ^ ": fit after the comb") (Some 9995) (fit ());
+        let v = visits () - v0 in
+        if float_of_int v > bound then
+          Alcotest.failf "%s: %d visits exceed %.0f at %d breakpoints" form v bound bps
+      in
+      pin "persistent" (fun () -> Index.earliest_fit !idx ~after:0 ~procs:1 ~dur:6);
+      pin "txn" (fun () -> Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:6))
+
+(* ------------------------------------------------------------------ *)
 (* Large-R smoke: 10^5 reservations, O(log R) visit bound *)
 
 let test_large_r_smoke () =
@@ -333,12 +382,8 @@ let test_large_r_smoke () =
       Index.self_check idx;
       let bps = Index.breakpoints idx in
       if bps < r_target then Alcotest.failf "only %d breakpoints for %d reservations" bps !kept;
-      let visits snap =
-        Option.value ~default:0
-          (List.assoc_opt "index.node_visits" snap.Mp_obs.Snapshot.counters)
-      in
       let n_queries = 500 in
-      let s0 = Mp_obs.Snapshot.take () in
+      let v0 = visits () in
       for _ = 1 to n_queries do
         let procs = 1 + Mp_prelude.Rng.int rng 16 in
         let dur = 60 + Mp_prelude.Rng.int rng 3541 in
@@ -347,8 +392,7 @@ let test_large_r_smoke () =
         let finish_by = 1 + Mp_prelude.Rng.int rng horizon in
         ignore (Index.latest_fit idx ~earliest:0 ~finish_by ~procs ~dur)
       done;
-      let s1 = Mp_obs.Snapshot.take () in
-      let vpq = float_of_int (visits s1 - visits s0) /. float_of_int (2 * n_queries) in
+      let vpq = float_of_int (visits () - v0) /. float_of_int (2 * n_queries) in
       (* Same bound the "Calendar index" bench section asserts: a linear
          walk would be ~1000x over it at this R. *)
       let bound = (8. *. (log (float_of_int bps) /. log 2.)) +. 64. in
@@ -380,6 +424,7 @@ let () =
           Alcotest.test_case "create invalid" `Quick test_create_invalid;
           Alcotest.test_case "empty index" `Quick test_empty_index;
           Alcotest.test_case "breakpoint count" `Quick test_breakpoint_count;
+          Alcotest.test_case "comb of blocked runs, one walk" `Quick test_comb_one_walk;
         ] );
       ("properties", props);
       ("large-R", [ Alcotest.test_case "100k reservations, log-R visits" `Quick test_large_r_smoke ]);

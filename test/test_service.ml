@@ -105,6 +105,72 @@ let test_engine_cancel_not_held () =
       Alcotest.(check string) "names the reservation" "reservation [0, 10) x 4 is not held" msg
   | r -> Alcotest.failf "double cancel answered %s" (Response.to_string r)
 
+let cancel e ~start ~finish ~procs =
+  Engine.handle e ~site:0 (Request.Cancel { start; finish; procs })
+
+(* The held set is a multiset: two equal grants need two cancels. *)
+let test_engine_cancel_duplicate_grants () =
+  let e = reservation_engine () in
+  for _ = 1 to 2 do
+    match reserve e ~start:0 ~dur:10 ~procs:2 with
+    | Response.Granted -> ()
+    | r -> Alcotest.failf "reserve answered %s" (Response.to_string r)
+  done;
+  Alcotest.(check int) "both held" 2 (List.length (Engine.granted e ~site:0));
+  for i = 1 to 2 do
+    match cancel e ~start:0 ~finish:10 ~procs:2 with
+    | Response.Cancelled -> ()
+    | r -> Alcotest.failf "cancel %d answered %s" i (Response.to_string r)
+  done;
+  Alcotest.(check int) "all freed" 4 (Calendar.available_at (Engine.calendar e ~site:0) 5);
+  match cancel e ~start:0 ~finish:10 ~procs:2 with
+  | Response.Error msg ->
+      Alcotest.(check string) "third cancel" "reservation [0, 10) x 2 is not held" msg
+  | r -> Alcotest.failf "third cancel answered %s" (Response.to_string r)
+
+(* A cancel of a triple the site does not hold changes nothing, however
+   many reservations the site holds. *)
+let test_engine_cancel_not_held_is_inert () =
+  let e = reservation_engine ~procs:8 () in
+  for i = 0 to 199 do
+    ignore (reserve e ~start:(7 * i) ~dur:(5 + (i mod 11)) ~procs:(1 + (i mod 3)))
+  done;
+  let held = Engine.granted e ~site:0 and cal = Engine.calendar e ~site:0 in
+  Alcotest.(check bool) "many held" true (List.length held > 100);
+  let segments c = Calendar.segments c ~from_:0 ~until:2_000 in
+  (match cancel e ~start:1 ~finish:6 ~procs:1 with
+  | Response.Error msg ->
+      Alcotest.(check string) "not held" "reservation [1, 6) x 1 is not held" msg
+  | r -> Alcotest.failf "cancel answered %s" (Response.to_string r));
+  let sorted l = List.sort Reservation.compare_by_start l in
+  Alcotest.(check bool) "granted multiset unchanged" true
+    (sorted (Engine.granted e ~site:0) = sorted held);
+  Alcotest.(check bool) "calendar unchanged" true
+    (segments (Engine.calendar e ~site:0) = segments cal)
+
+(* [Stats.held] counts grants minus successful cancels, duplicates
+   included. *)
+let test_engine_stats_held () =
+  let e = reservation_engine ~procs:8 () in
+  let grants = ref 0 and cancels = ref 0 in
+  for i = 0 to 59 do
+    let start = 10 * (i mod 20) and procs = 1 + (i mod 2) in
+    (match reserve e ~start ~dur:10 ~procs with Response.Granted -> incr grants | _ -> ());
+    if i mod 3 = 0 then
+      match cancel e ~start:(10 * (i mod 7)) ~finish:((10 * (i mod 7)) + 10) ~procs with
+      | Response.Cancelled -> incr cancels
+      | _ -> ()
+  done;
+  let held = Engine.granted e ~site:0 in
+  Alcotest.(check bool) "some grants held twice" true
+    (List.length (List.sort_uniq Reservation.compare_by_start held) < List.length held);
+  Alcotest.(check bool) "some cancels" true (!cancels > 0);
+  match Engine.handle e ~site:0 (Request.Stats { last = 0 }) with
+  | Response.Stats st ->
+      Alcotest.(check int) "held = grants - cancels" (!grants - !cancels) st.Response.held;
+      Alcotest.(check int) "granted agrees" st.Response.held (List.length held)
+  | r -> Alcotest.failf "stats answered %s" (Response.to_string r)
+
 let test_engine_no_handlers () =
   let e = reservation_engine () in
   match
@@ -642,6 +708,9 @@ let () =
         [
           Alcotest.test_case "probe reads only" `Quick test_engine_probe_reads_only;
           Alcotest.test_case "cancel not held" `Quick test_engine_cancel_not_held;
+          Alcotest.test_case "cancel duplicate grants" `Quick test_engine_cancel_duplicate_grants;
+          Alcotest.test_case "not-held cancel is inert" `Quick test_engine_cancel_not_held_is_inert;
+          Alcotest.test_case "stats held count" `Quick test_engine_stats_held;
           Alcotest.test_case "no handlers" `Quick test_engine_no_handlers;
           Alcotest.test_case "unknown site" `Quick test_engine_unknown_site;
           Alcotest.test_case "stats snapshot" `Quick test_engine_stats;
