@@ -35,9 +35,6 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
   if journal then
     Mp_forensics.Journal.begin_placement Mp_forensics.Journal.Backward ~task:task.Task.id
       ~anchor:dl ~bound:cands.Task.bound ~evaluated:(Array.length nps);
-  (* All candidates query the same calendar state toward the same
-     deadline: share the walk prefix (see {!Calendar.Txn.latest_scan}). *)
-  let scan = Calendar.Txn.latest_scan cal ~finish_by:dl in
   let rec go best c =
     if c < 0 then best
     else
@@ -59,7 +56,7 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
             if journal then 0
             else match best with None -> 0 | Some (bs, _, _) -> max 0 bs
           in
-          match Calendar.Txn.latest_fit_scan scan ~earliest ~procs:np ~dur with
+          match Calendar.Txn.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
           | None ->
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
               go best (c - 1)

@@ -4,8 +4,10 @@
    values, and (c) a lazy "add" tag pending over the whole subtree
    (including the node's own value).  Reserving subtracts over a key
    range by path-copying the two boundary paths and tagging the fully
-   covered subtrees between them; fit queries descend guided by the
-   summaries.  Everything is O(log R) per operation.
+   covered subtrees between them.  Point and window queries and updates
+   are O(log R); the fit queries are single in-order walks (forward for
+   [earliest_fit], backward for [latest_fit]) that skip every subtree
+   whose summaries decide it.
 
    Summary convention: for a node [{ v; mn; mx; d; _ }], the value seen
    from the parent is [v + d], and the subtree extrema seen from the
@@ -28,16 +30,15 @@ type tree =
       v : int;  (** availability on [key, next key), before [d] *)
       r : tree;
       h : int;  (** AVL height *)
-      n : int;  (** subtree node count *)
+      lk : int;  (** least key in the subtree *)
       mn : int;  (** subtree min value, before [d] *)
       mx : int;  (** subtree max value, before [d] *)
       d : int;  (** pending add over the whole subtree, [v] included *)
     }
 
-type t = { cap : int; root : tree }
+type t = { cap : int; root : tree; bps : int  (** breakpoints in [root] *) }
 
 let height = function Leaf -> 0 | Node { h; _ } -> h
-let size = function Leaf -> 0 | Node { n; _ } -> n
 
 (* Effective subtree extrema as seen from the parent ([acc] = tags of
    strict ancestors of the *parent*, plus the parent's own tag). *)
@@ -53,7 +54,7 @@ let mk l key v r =
       v;
       r;
       h = 1 + max (height l) (height r);
-      n = 1 + size l + size r;
+      lk = (match l with Leaf -> key | Node { lk; _ } -> lk);
       mn = min v (min (submin 0 l) (submin 0 r));
       mx = max v (max (submax 0 l) (submax 0 r));
       d = 0;
@@ -131,7 +132,8 @@ let last_le root time =
 let value_at root time = snd (last_le root time)
 
 (* Ensure a breakpoint exists at [time] (carrying the value already in
-   force there), so a later range add starts/stops exactly there. *)
+   force there), so a later range add starts/stops exactly there.
+   Returns [root] itself when the breakpoint is already there. *)
 let cut root time =
   if time = min_int then root
   else
@@ -197,51 +199,6 @@ let rec max_keys t acc ~lo ~hi =
       else if key >= hi then max_keys l acc ~lo ~hi
       else max (v + acc) (max (max_from l acc ~lo) (max_below r acc ~hi))
 
-(* Greatest breakpoint < hi with value < procs. *)
-let rec last_block_below t acc ~hi ~procs =
-  match t with
-  | Leaf -> None
-  | Node { l; key; v; r; mn; d; _ } ->
-      visit ();
-      if mn + d + acc >= procs then None
-      else
-        let acc = acc + d in
-        if key >= hi then last_block_below l acc ~hi ~procs
-        else (
-          match last_block_below r acc ~hi ~procs with
-          | Some _ as s -> s
-          | None ->
-              if v + acc < procs then Some key
-              else last_block_below l acc ~hi ~procs)
-
-(* Greatest breakpoint < hi with value >= procs. *)
-let rec last_clear_below t acc ~hi ~procs =
-  match t with
-  | Leaf -> None
-  | Node { l; key; v; r; mx; d; _ } ->
-      visit ();
-      if mx + d + acc < procs then None
-      else
-        let acc = acc + d in
-        if key >= hi then last_clear_below l acc ~hi ~procs
-        else (
-          match last_clear_below r acc ~hi ~procs with
-          | Some _ as s -> s
-          | None ->
-              if v + acc >= procs then Some key
-              else last_clear_below l acc ~hi ~procs)
-
-(* Smallest breakpoint > after (plain successor, no value constraint). *)
-let succ_key root ~after =
-  let rec go t best =
-    match t with
-    | Leaf -> best
-    | Node { l; key; r; _ } ->
-        visit ();
-        if key <= after then go r best else go l (Some key)
-  in
-  go root None
-
 (* Add [dv] to every breakpoint value in a key range.  The tree structure
    is unchanged (no insertion, no rebalancing): the two boundary paths
    are copied with updated aggregates and the covered subtrees hanging
@@ -277,10 +234,10 @@ let rec add_range t ~lo ~hi dv =
 
 let create ~procs =
   if procs <= 0 then invalid_arg "Mp_index.create: procs <= 0";
-  { cap = procs; root = mk Leaf min_int procs Leaf }
+  { cap = procs; root = mk Leaf min_int procs Leaf; bps = 1 }
 
 let capacity t = t.cap
-let breakpoints t = size t.root
+let breakpoints t = t.bps
 
 let available_at t time =
   descent ();
@@ -294,9 +251,15 @@ let max_in t ~from_ ~until =
   descent ();
   max (value_at t.root from_) (max_keys t.root 0 ~lo:(from_ + 1) ~hi:until)
 
+(* Update and fit entry points take the name [op] they report errors
+   under, so the persistent and [Txn] forms share one body. *)
 let check_window ~op ~start ~finish ~procs =
   if start >= finish then invalid_arg (op ^ ": start >= finish");
   if procs < 1 then invalid_arg (op ^ ": procs < 1")
+
+let check_fit ~op ~procs ~dur =
+  if procs < 1 then invalid_arg (op ^ ": procs < 1");
+  if dur < 1 then invalid_arg (op ^ ": dur < 1")
 
 let root_can_reserve root ~start ~finish ~procs =
   procs <= min (value_at root start) (min_keys root 0 ~lo:(start + 1) ~hi:finish)
@@ -306,31 +269,33 @@ let can_reserve t ~start ~finish ~procs =
   descent ();
   root_can_reserve t.root ~start ~finish ~procs
 
-let root_reserve root ~start ~finish ~procs =
-  if root_can_reserve root ~start ~finish ~procs then
-    Some (add_range (cut (cut root start) finish) ~lo:start ~hi:finish (-procs))
+(* Cut breakpoints at [start] and [finish], then add [dv] between them.
+   A [cut] that finds its key already there returns its argument, which
+   is how the breakpoint count learns what the cuts added. *)
+let apply t ~start ~finish dv =
+  let r1 = cut t.root start in
+  let r2 = cut r1 finish in
+  {
+    t with
+    root = add_range r2 ~lo:start ~hi:finish dv;
+    bps = t.bps + Bool.to_int (r1 != t.root) + Bool.to_int (r2 != r1);
+  }
+
+let reserve_as ~op t ~start ~finish ~procs =
+  check_window ~op ~start ~finish ~procs;
+  descent ();
+  if root_can_reserve t.root ~start ~finish ~procs then Some (apply t ~start ~finish (-procs))
   else None
 
-let reserve t ~start ~finish ~procs =
-  check_window ~op:"Mp_index.reserve" ~start ~finish ~procs;
-  descent ();
-  match root_reserve t.root ~start ~finish ~procs with
-  | Some root -> Some { t with root }
-  | None -> None
+let reserve t ~start ~finish ~procs = reserve_as ~op:"Mp_index.reserve" t ~start ~finish ~procs
 
-let root_release root ~cap ~start ~finish ~procs =
-  let mx =
-    max (value_at root start) (max_keys root 0 ~lo:(start + 1) ~hi:finish)
-  in
-  if mx + procs > cap then None
-  else Some (add_range (cut (cut root start) finish) ~lo:start ~hi:finish procs)
-
-let release t ~start ~finish ~procs =
-  check_window ~op:"Mp_index.release" ~start ~finish ~procs;
+let release_as ~op t ~start ~finish ~procs =
+  check_window ~op ~start ~finish ~procs;
   descent ();
-  match root_release t.root ~cap:t.cap ~start ~finish ~procs with
-  | Some root -> Some { t with root }
-  | None -> None
+  let mx = max (value_at t.root start) (max_keys t.root 0 ~lo:(start + 1) ~hi:finish) in
+  if mx + procs > t.cap then None else Some (apply t ~start ~finish procs)
+
+let release t ~start ~finish ~procs = release_as ~op:"Mp_index.release" t ~start ~finish ~procs
 
 (* Earliest fit.  Candidate starts are [after] and the clear breakpoints
    after it (the minimal feasible start is always one of these: sliding
@@ -364,56 +329,74 @@ let rec fit_walk t acc ~after ~limit ~procs ~dur st =
         if st = blocked then
           if key > limit then key
           else fit_walk r acc ~after ~limit ~procs ~dur (if clear then key else blocked)
-        else if key >= st + dur || st > limit then st
+        else if st > limit || key >= st + dur then st
         else fit_walk r acc ~after ~limit ~procs ~dur (if clear then st else blocked)
 
-(* [after] is clamped above the sentinel key, so a candidate is never
-   [blocked]. *)
-let root_earliest_fit root ~limit ~after ~procs ~dur =
-  let after = max after (min_int + 1) in
-  if after > limit then None
-  else
-    let s = fit_walk root 0 ~after ~limit ~procs ~dur blocked in
-    if s = blocked || s > limit then None else Some s
+(* No start past [max_int - dur]: its window would end past [max_int], so
+   [limit] is clamped there, and a candidate <= [limit] never overflows
+   [s + dur].  [after] is clamped above the sentinel key, so a candidate
+   is never [blocked]. *)
+let earliest_as ~op t ~limit ~after ~procs ~dur =
+  check_fit ~op ~procs ~dur;
+  if procs > t.cap then None
+  else begin
+    descent ();
+    let limit = min limit (max_int - dur) and after = max after (min_int + 1) in
+    if after > limit then None
+    else
+      let s = fit_walk t.root 0 ~after ~limit ~procs ~dur blocked in
+      if s = blocked || s > limit then None else Some s
+  end
 
 let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
-  if procs < 1 then invalid_arg "Mp_index.earliest_fit: procs < 1";
-  if dur < 1 then invalid_arg "Mp_index.earliest_fit: dur < 1";
-  descent ();
-  if procs > t.cap then None
-  else root_earliest_fit t.root ~limit ~after ~procs ~dur
+  earliest_as ~op:"Mp_index.earliest_fit" t ~limit ~after ~procs ~dur
 
-(* Latest fit.  For a window ending at [fl], the only blocking
-   breakpoints that matter are those < fl; if the greatest one is at or
-   before the window start and the start's own segment is clear, the
-   window fits.  Otherwise the whole blocked run containing that blocker
-   must be cleared: the next window to try ends at the run's first
-   breakpoint (the successor of the last clear breakpoint below it). *)
-let root_latest_fit root ~earliest ~finish_by ~procs ~dur =
-  let rec go fl =
-    let s = fl - dur in
-    if s < earliest then None
-    else
-      match last_block_below root 0 ~hi:fl ~procs with
-      | None -> Some s
-      | Some b ->
-          if b <= s && value_at root s >= procs then Some s
-          else (
-            match last_clear_below root 0 ~hi:b ~procs with
-            | None -> None
-            | Some c -> (
-                match succ_key root ~after:c with
-                | None -> None
-                | Some k -> go k))
-  in
-  go finish_by
+(* Latest fit, the mirror walk.  The candidate window is [e - dur, e),
+   with [e] starting at [finish_by].  One reverse in-order walk over the
+   breakpoints below [finish_by] lowers [e] to every blocked breakpoint
+   whose segment meets the window.  It stops at the first segment that
+   ends at or before [e - dur], since the window is then clear, or once
+   [e] drops below [lo = earliest + dur], since no start reaches
+   [earliest] any more.  [hi] is the key just after the subtree (where
+   its last segment ends), and a node's own segment ends at its right
+   subtree's least key, or at [hi].  A subtree is skipped whole when its
+   summary decides it: all clear leaves [e] as it is, all blocked lowers
+   [e] to the subtree's least key.  [e < lo] is tested first, so [e - dur]
+   never wraps. *)
+let rec latest_walk t acc ~hi ~lo ~finish_by ~procs ~dur e =
+  match t with
+  | Leaf -> e
+  | Node { l; key; v; r; lk; mn; mx; d; _ } ->
+      visit ();
+      if e < lo || hi <= e - dur then e
+      else
+        let acc = acc + d in
+        if key >= finish_by then latest_walk l acc ~hi:key ~lo ~finish_by ~procs ~dur e
+        else if mn + acc >= procs then e
+        else if mx + acc < procs then min e lk
+        else
+          let e = latest_walk r acc ~hi ~lo ~finish_by ~procs ~dur e in
+          let succ = match r with Leaf -> hi | Node { lk; _ } -> lk in
+          if e < lo || succ <= e - dur then e
+          else
+            latest_walk l acc ~hi:key ~lo ~finish_by ~procs ~dur
+              (if v + acc < procs then key else e)
+
+(* No start in [earliest, finish_by - dur], tested without computing a
+   [finish_by - dur] that would wrap; past the test, [earliest + dur <=
+   finish_by] cannot overflow either. *)
+let latest_as ~op t ~earliest ~finish_by ~procs ~dur =
+  check_fit ~op ~procs ~dur;
+  if procs > t.cap || finish_by < min_int + dur || finish_by - dur < earliest then None
+  else begin
+    descent ();
+    let lo = earliest + dur in
+    let e = latest_walk t.root 0 ~hi:max_int ~lo ~finish_by ~procs ~dur finish_by in
+    if e >= lo then Some (e - dur) else None
+  end
 
 let latest_fit t ~earliest ~finish_by ~procs ~dur =
-  if procs < 1 then invalid_arg "Mp_index.latest_fit: procs < 1";
-  if dur < 1 then invalid_arg "Mp_index.latest_fit: dur < 1";
-  descent ();
-  if procs > t.cap then None
-  else root_latest_fit t.root ~earliest ~finish_by ~procs ~dur
+  latest_as ~op:"Mp_index.latest_fit" t ~earliest ~finish_by ~procs ~dur
 
 let fold_segments t ~from_ ~until ~init ~f =
   if from_ >= until then init
@@ -452,23 +435,23 @@ let iter_breakpoints t g =
 
 let self_check t =
   let fail fmt = Printf.ksprintf failwith fmt in
-  (* Recompute height/size/extrema bottom-up with tags resolved; collect
-     keys in order. *)
+  (* Recompute height/extrema bottom-up with tags resolved; collect keys
+     in order, so each subtree's least key is the head of its list. *)
   let rec chk tree acc =
     match tree with
-    | Leaf -> (0, 0, max_int, min_int, [])
-    | Node { l; key; v; r; h; n; mn; mx; d } ->
+    | Leaf -> (0, max_int, min_int, [])
+    | Node { l; key; v; r; h; lk; mn; mx; d } ->
         let acc = acc + d in
-        let lh, ln, lmn, lmx, lks = chk l acc in
-        let rh, rn, rmn, rmx, rks = chk r acc in
+        let lh, lmn, lmx, lks = chk l acc in
+        let rh, rmn, rmx, rks = chk r acc in
         if h <> 1 + max lh rh then
           fail "Mp_index.self_check: height %d at key %d (want %d)" h key
             (1 + max lh rh);
         if abs (lh - rh) > 2 then
           fail "Mp_index.self_check: imbalance %d at key %d" (lh - rh) key;
-        if n <> 1 + ln + rn then
-          fail "Mp_index.self_check: size %d at key %d (want %d)" n key
-            (1 + ln + rn);
+        let elk = match lks with [] -> key | k :: _ -> k in
+        if lk <> elk then
+          fail "Mp_index.self_check: least key %d at key %d (want %d)" lk key elk;
         let emn = min (v + acc) (min lmn rmn)
         and emx = max (v + acc) (max lmx rmx) in
         if mn + acc <> emn then
@@ -477,9 +460,9 @@ let self_check t =
         if mx + acc <> emx then
           fail "Mp_index.self_check: max summary %d at key %d (want %d)"
             (mx + acc) key emx;
-        (h, n, emn, emx, lks @ (key :: rks))
+        (h, emn, emx, lks @ (key :: rks))
   in
-  let _, _, emn, emx, keys = chk t.root 0 in
+  let _, emn, emx, keys = chk t.root 0 in
   (match keys with
   | k0 :: _ when k0 = min_int -> ()
   | _ -> fail "Mp_index.self_check: missing min_int sentinel");
@@ -490,6 +473,8 @@ let self_check t =
     | _ -> ()
   in
   sorted keys;
+  if List.length keys <> t.bps then
+    fail "Mp_index.self_check: breakpoint count %d (want %d)" t.bps (List.length keys);
   if emn < 0 then fail "Mp_index.self_check: negative availability %d" emn;
   if emx > t.cap then
     fail "Mp_index.self_check: availability %d above capacity %d" emx t.cap
@@ -500,57 +485,28 @@ let self_check t =
 
 module Txn = struct
   type index = t
-  type t = { cap : int; mutable root : tree; mutable gen : int }
 
-  let start (i : index) = { cap = i.cap; root = i.root; gen = 0 }
-  let commit (t : t) : index = { cap = t.cap; root = t.root }
-  let capacity t = t.cap
-  let generation t = t.gen
+  (* The current snapshot: an update replaces it, never mutates it. *)
+  type t = { mutable cur : index }
 
-  let available_at t time =
-    descent ();
-    value_at t.root time
+  let start (i : index) = { cur = i }
+  let commit t = t.cur
 
-  let min_in t ~from_ ~until =
-    descent ();
-    min (value_at t.root from_) (min_keys t.root 0 ~lo:(from_ + 1) ~hi:until)
-
-  let can_reserve t ~start ~finish ~procs =
-    check_window ~op:"Mp_index.Txn.can_reserve" ~start ~finish ~procs;
-    descent ();
-    root_can_reserve t.root ~start ~finish ~procs
+  let update t = function
+    | Some i ->
+        t.cur <- i;
+        true
+    | None -> false
 
   let reserve t ~start ~finish ~procs =
-    check_window ~op:"Mp_index.Txn.reserve" ~start ~finish ~procs;
-    descent ();
-    match root_reserve t.root ~start ~finish ~procs with
-    | Some root ->
-        t.root <- root;
-        t.gen <- t.gen + 1;
-        true
-    | None -> false
+    update t (reserve_as ~op:"Mp_index.Txn.reserve" t.cur ~start ~finish ~procs)
 
   let release t ~start ~finish ~procs =
-    check_window ~op:"Mp_index.Txn.release" ~start ~finish ~procs;
-    descent ();
-    match root_release t.root ~cap:t.cap ~start ~finish ~procs with
-    | Some root ->
-        t.root <- root;
-        t.gen <- t.gen + 1;
-        true
-    | None -> false
+    update t (release_as ~op:"Mp_index.Txn.release" t.cur ~start ~finish ~procs)
 
   let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
-    if procs < 1 then invalid_arg "Mp_index.Txn.earliest_fit: procs < 1";
-    if dur < 1 then invalid_arg "Mp_index.Txn.earliest_fit: dur < 1";
-    descent ();
-    if procs > t.cap then None
-    else root_earliest_fit t.root ~limit ~after ~procs ~dur
+    earliest_as ~op:"Mp_index.Txn.earliest_fit" t.cur ~limit ~after ~procs ~dur
 
   let latest_fit t ~earliest ~finish_by ~procs ~dur =
-    if procs < 1 then invalid_arg "Mp_index.Txn.latest_fit: procs < 1";
-    if dur < 1 then invalid_arg "Mp_index.Txn.latest_fit: dur < 1";
-    descent ();
-    if procs > t.cap then None
-    else root_latest_fit t.root ~earliest ~finish_by ~procs ~dur
+    latest_as ~op:"Mp_index.Txn.latest_fit" t.cur ~earliest ~finish_by ~procs ~dur
 end

@@ -13,10 +13,12 @@
 
     - point lookups, window minima/maxima, {!reserve} and {!release}
       (range adds over the covered breakpoints) are O(log R), and
-    - {!earliest_fit} walks the breakpoints after its start once, in
-      order, skipping every subtree whose summary shows it cannot
-      change the answer; {!latest_fit} descends guided by the summaries,
-      visiting O(log R) nodes per candidate window.
+    - each fit query is one walk over the breakpoints it crosses:
+      {!earliest_fit} forward from its start, {!latest_fit} backward
+      from its deadline.  The walk skips every subtree whose summary
+      shows it cannot change the answer, so it costs about one node
+      visit per breakpoint crossed plus O(log R), and allocates nothing
+      except the [Some] it returns.
 
     [R] is the number of breakpoints ({!breakpoints}), at most
     [2 x reservations + 1].
@@ -58,7 +60,8 @@ val capacity : t -> int
 (** Total processor count (the value no point may exceed). *)
 
 val breakpoints : t -> int
-(** Number of stored breakpoints, including the [min_int] sentinel. *)
+(** Number of stored breakpoints, including the [min_int] sentinel.
+    O(1). *)
 
 val available_at : t -> int -> int
 (** [available_at t time] is the capacity free at instant [time].
@@ -97,14 +100,25 @@ val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int o
     breakpoint inside blocks the current candidate or opens a new one:
     it costs about one node visit per breakpoint crossed plus
     O(log R), and allocates only the returned [Some].  [after] below
-    [min_int + 1] (the sentinel's key) counts as [min_int + 1].  Raises
+    [min_int + 1] (the sentinel's key) counts as [min_int + 1].  A
+    window must end at or before [max_int]: with no such start, for
+    instance when [after > max_int - dur], the answer is [None].  Raises
     [Invalid_argument] if [procs < 1] or [dur < 1]. *)
 
 val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
 (** [latest_fit t ~earliest ~finish_by ~procs ~dur] is the latest start
     [s >= earliest] with [s + dur <= finish_by] and [procs] processors
-    free over [\[s, s + dur)], or [None].  Raises [Invalid_argument] if
-    [procs < 1] or [dur < 1]. *)
+    free over [\[s, s + dur)], or [None].  One reverse in-order walk
+    from [finish_by] finds it, the mirror of {!earliest_fit}: it lowers
+    the candidate window's end past each blocked breakpoint the window
+    meets, and stops at the first segment ending at or before the
+    window's start.  It costs about one node visit per breakpoint
+    crossed plus O(log R), and allocates only the returned [Some].  The
+    answer is [None] when [finish_by - earliest < dur] (computed without
+    wrapping, so a [finish_by] near [min_int] cannot yield a start after
+    it), when [procs] exceeds {!capacity}, and when blocked segments
+    leave no clear window of [dur] inside [\[earliest, finish_by)].
+    Raises [Invalid_argument] if [procs < 1] or [dur < 1]. *)
 
 val fold_segments :
   t ->
@@ -122,16 +136,18 @@ val iter_breakpoints : t -> (int -> int -> unit) -> unit
     time order, starting with the [min_int] sentinel. *)
 
 val self_check : t -> unit
-(** Validate internal invariants (AVL balance, subtree sizes, (min, max)
-    summaries vs recomputation, sentinel presence, key order).  Raises
-    [Failure] with a description on violation.  For tests; O(R). *)
+(** Validate internal invariants (AVL balance, subtree least keys,
+    (min, max) summaries vs recomputation, sentinel presence, key order,
+    the {!breakpoints} count).  Raises [Failure] with a description on
+    violation.  For tests; O(R). *)
 
 (** Single-owner mutable transaction over an index: the incremental form
     used by linear placement loops and by the per-site shards of
-    {!Mp_service.Engine}.  A transaction owns a mutable root pointer
-    into the shared persistent structure — updates replace the root
-    (path-copying, O(log R)), so {!start} and {!commit} are O(1) and the
-    snapshot a transaction was started from is never affected. *)
+    {!Mp_service.Engine}.  A transaction owns a mutable pointer to its
+    current snapshot — updates replace it (path-copying, O(log R)), so
+    {!start} and {!commit} are O(1) and the snapshot a transaction was
+    started from is never affected.  Read-only queries go through
+    {!commit}. *)
 module Txn : sig
   type index = t
   (** The persistent form. *)
@@ -146,18 +162,6 @@ module Txn : sig
   (** The current state as a persistent snapshot.  O(1); the transaction
       remains usable afterwards and further updates do not affect the
       returned snapshot. *)
-
-  val capacity : t -> int
-
-  val generation : t -> int
-  (** Number of successful updates ({!reserve} + {!release}) applied so
-      far — a staleness stamp for derived query caches. *)
-
-  val available_at : t -> int -> int
-
-  val min_in : t -> from_:int -> until:int -> int
-
-  val can_reserve : t -> start:int -> finish:int -> procs:int -> bool
 
   val reserve : t -> start:int -> finish:int -> procs:int -> bool
   (** Apply a reservation; [false] (and no change) if it does not fit.

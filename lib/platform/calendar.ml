@@ -6,12 +6,17 @@
    [Overcommitted] exception, argument validation messages, and the
    derived views (segments, busy profile, series).
 
-   Every operation the schedulers lean on — [reserve], [release],
-   [earliest_fit], [latest_fit], point lookups, window minima — is
-   O(log R) in the number of breakpoints, both on the persistent form
-   and inside a {!Txn}.  All of them are output-preserving with respect
-   to a brute-force walk of the step function (pinned by the qcheck
-   reference model in test/test_platform.ml and test/test_index.ml). *)
+   [reserve], [release], point lookups and window minima are O(log R)
+   in the number of breakpoints, both on the persistent form and inside
+   a {!Txn}.  [earliest_fit] and [latest_fit] are each one walk over the
+   breakpoints they cross, about one node visit per breakpoint plus
+   O(log R).  All of them are output-preserving with respect to a
+   brute-force walk of the step function (pinned by the qcheck
+   reference model in test/test_platform.ml and test/test_index.ml).
+   The index owns the fit queries' [None] cases (oversize [procs],
+   windows that cannot fit between the bounds or past the ends of
+   [int]); this module validates their arguments and counts and times
+   the calls. *)
 
 module Index = Mp_index
 
@@ -90,9 +95,7 @@ let earliest_fit t ~after ~procs ~dur =
   if dur < 1 then invalid_arg "Calendar.earliest_fit: dur < 1";
   Mp_obs.Counter.incr c_earliest_fit;
   let t0 = Mp_obs.Timer.start () in
-  let r =
-    if procs > t.procs then None else Index.earliest_fit t.idx ~after ~procs ~dur
-  in
+  let r = Index.earliest_fit t.idx ~after ~procs ~dur in
   Mp_obs.Timer.stop t_earliest_fit t0;
   r
 
@@ -101,11 +104,7 @@ let latest_fit t ~earliest ~finish_by ~procs ~dur =
   if dur < 1 then invalid_arg "Calendar.latest_fit: dur < 1";
   Mp_obs.Counter.incr c_latest_fit;
   let t0 = Mp_obs.Timer.start () in
-  let r =
-    if procs > t.procs then None
-    else if finish_by - dur < earliest then None
-    else Index.latest_fit t.idx ~earliest ~finish_by ~procs ~dur
-  in
+  let r = Index.latest_fit t.idx ~earliest ~finish_by ~procs ~dur in
   Mp_obs.Timer.stop t_latest_fit t0;
   r
 
@@ -125,10 +124,6 @@ module Txn = struct
 
   let start (cal : cal) = { procs = cal.procs; itx = Index.Txn.start cal.idx }
   let procs t = t.procs
-  let available_at t time = Index.Txn.available_at t.itx time
-
-  let can_reserve t (r : Reservation.t) =
-    Index.Txn.can_reserve t.itx ~start:r.start ~finish:r.finish ~procs:r.procs
 
   (* As the persistent {!reserve_opt} / {!reserve}. *)
   let reserve_opt t (r : Reservation.t) =
@@ -161,10 +156,7 @@ module Txn = struct
     if dur < 1 then invalid_arg "Calendar.Txn.earliest_fit: dur < 1";
     Mp_obs.Counter.incr c_earliest_fit;
     let t0 = Mp_obs.Timer.start () in
-    let r =
-      if procs > t.procs then None
-      else Index.Txn.earliest_fit ~limit t.itx ~after ~procs ~dur
-    in
+    let r = Index.Txn.earliest_fit ~limit t.itx ~after ~procs ~dur in
     Mp_obs.Timer.stop t_earliest_fit t0;
     r
 
@@ -173,37 +165,7 @@ module Txn = struct
     if dur < 1 then invalid_arg "Calendar.Txn.latest_fit: dur < 1";
     Mp_obs.Counter.incr c_latest_fit;
     let t0 = Mp_obs.Timer.start () in
-    let r =
-      if procs > t.procs then None
-      else if finish_by - dur < earliest then None
-      else Index.Txn.latest_fit t.itx ~earliest ~finish_by ~procs ~dur
-    in
-    Mp_obs.Timer.stop t_latest_fit t0;
-    r
-
-  (* With O(log R) backward queries the scan context no longer carries a
-     suffix-max table: it is just a staleness stamp (the transaction's
-     generation at capture time) plus the fixed [finish_by].  The stale-
-     scan contract is unchanged — any subsequent reserve/release on the
-     transaction invalidates outstanding scans. *)
-  type scan = { txn : t; sc_gen : int; finish_by : int }
-
-  let latest_scan t ~finish_by =
-    { txn = t; sc_gen = Index.Txn.generation t.itx; finish_by }
-
-  let latest_fit_scan sc ~earliest ~procs ~dur =
-    if procs < 1 then invalid_arg "Calendar.Txn.latest_fit_scan: procs < 1";
-    if dur < 1 then invalid_arg "Calendar.Txn.latest_fit_scan: dur < 1";
-    let t = sc.txn in
-    if sc.sc_gen <> Index.Txn.generation t.itx then
-      invalid_arg "Calendar.Txn.latest_fit_scan: stale scan (transaction changed)";
-    Mp_obs.Counter.incr c_latest_fit;
-    let t0 = Mp_obs.Timer.start () in
-    let r =
-      if procs > t.procs then None
-      else if sc.finish_by - dur < earliest then None
-      else Index.Txn.latest_fit t.itx ~earliest ~finish_by:sc.finish_by ~procs ~dur
-    in
+    let r = Index.Txn.latest_fit t.itx ~earliest ~finish_by ~procs ~dur in
     Mp_obs.Timer.stop t_latest_fit t0;
     r
 end

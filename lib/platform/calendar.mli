@@ -14,11 +14,13 @@
 
     The representation is {!Mp_index}: a balanced breakpoint tree with
     hierarchical (min, max) availability summaries (see "Calendar index"
-    in DESIGN.md).  Point lookups, window minima, {!reserve}, {!release}
-    and the fit queries are all O(log R) in the number of breakpoints —
-    within the per-task [O(R)] cost assumed by the paper's complexity
-    analysis (Section 6.1, Table 8), and far below it on the
-    million-reservation calendars the scheduling service holds. *)
+    in DESIGN.md).  Point lookups, window minima, {!reserve} and
+    {!release} are O(log R) in the number of breakpoints; each fit query
+    is one walk costing about one node visit per breakpoint it crosses
+    plus O(log R).  Both stay within the per-task [O(R)] cost assumed by
+    the paper's complexity analysis (Section 6.1, Table 8), and the
+    tree keeps them far below it on the million-reservation calendars
+    the scheduling service holds. *)
 
 type t
 
@@ -72,14 +74,17 @@ val of_reservations : procs:int -> Reservation.t list -> t
 val earliest_fit : t -> after:int -> procs:int -> dur:int -> int option
 (** [earliest_fit t ~after ~procs ~dur] is the earliest start time [s >=
     after] such that at least [procs] processors are available over the
-    whole of [\[s, s + dur)], or [None] if no such time exists (only
-    possible when [procs] exceeds the availability of the calendar's final,
-    unbounded segment).  Requires [procs >= 1] and [dur >= 1]. *)
+    whole of [\[s, s + dur)], or [None] if no such time exists: when
+    [procs] exceeds the availability of the calendar's final, unbounded
+    segment, or when no such window ends at or before [max_int].
+    Requires [procs >= 1] and [dur >= 1]. *)
 
 val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
 (** [latest_fit t ~earliest ~finish_by ~procs ~dur] is the latest start
     time [s] with [s >= earliest] and [s + dur <= finish_by] such that
-    [procs] processors are available over [\[s, s + dur)], or [None]. *)
+    [procs] processors are available over [\[s, s + dur)], or [None]
+    (in particular when [finish_by - earliest < dur], however close to
+    [min_int] the bounds are).  Requires [procs >= 1] and [dur >= 1]. *)
 
 (** Mutable single-owner view for linear reserve-then-query passes.
 
@@ -111,12 +116,6 @@ module Txn : sig
   val procs : t -> int
   (** Total processors of the cluster. *)
 
-  val available_at : t -> int -> int
-  (** Processors available at the given instant. *)
-
-  val can_reserve : t -> Reservation.t -> bool
-  (** Whether {!reserve} would succeed. *)
-
   val reserve : t -> Reservation.t -> unit
   (** Subtract the reservation from availability, in place.
       @raise Overcommitted if availability would go negative. *)
@@ -147,25 +146,6 @@ module Txn : sig
 
   val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
   (** As {!latest_fit} on the transaction's current state. *)
-
-  type scan
-  (** Backward-query context toward one [finish_by] on one transaction
-      state.  With the O(log R) tree behind every query this no longer
-      precomputes anything: it pins the transaction's generation so that
-      reuse after a state change is caught, keeping the staleness
-      contract callers were written against. *)
-
-  val latest_scan : t -> finish_by:int -> scan
-  (** Capture the transaction's current state for {!latest_fit_scan}
-      queries with this [finish_by].  O(1).  The scan is invalidated by
-      any subsequent {!reserve} on the transaction ({!latest_fit_scan}
-      raises [Invalid_argument] on a stale scan). *)
-
-  val latest_fit_scan : scan -> earliest:int -> procs:int -> dur:int -> int option
-  (** Exactly [latest_fit txn ~earliest ~finish_by ~procs ~dur] for the
-      scan's transaction and [finish_by], answered in O(log R) (pinned
-      against {!latest_fit} by a qcheck property in
-      [test_platform.ml]). *)
 end
 
 val segments : t -> from_:int -> until:int -> (int * int * int) list

@@ -167,12 +167,17 @@ let index_visits_now () =
 
 (* --- dispatch ----------------------------------------------------------- *)
 
+(* A window no calendar can hold: a negative start, an empty or
+   oversize request, or an end past [max_int]. *)
+let out_of_range site ~start ~dur ~procs =
+  start < 0 || dur < 1 || dur > max_int - start || procs < 1
+  || procs > Calendar.Txn.procs site.txn
+
 (* The trial-and-error semantics [Mp_core.Blind] drives: its "blind
    matches omniscient" pin depends on grant/suggestion behaviour staying
    put. *)
 let reserve site ~start ~dur ~procs =
-  if start < 0 || dur < 1 || procs < 1 then Response.Rejected None
-  else if procs > Calendar.Txn.procs site.txn then Response.Rejected None
+  if out_of_range site ~start ~dur ~procs then Response.Rejected None
   else begin
     let r = Reservation.make ~start ~finish:(start + dur) ~procs in
     Mp_obs.Span.enter span_commit;
@@ -191,8 +196,7 @@ let reserve site ~start ~dur ~procs =
   end
 
 let probe site ~start ~dur ~procs =
-  if start < 0 || dur < 1 || procs < 1 || procs > Calendar.Txn.procs site.txn then
-    Response.Available None
+  if out_of_range site ~start ~dur ~procs then Response.Available None
   else begin
     Mp_obs.Span.enter span_fit;
     let fit = Calendar.Txn.earliest_fit site.txn ~after:start ~procs ~dur in

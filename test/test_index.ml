@@ -98,7 +98,6 @@ let print_scenario (rs, (after, np, dur)) =
   Printf.sprintf "rs=[%s] after=%d np=%d dur=%d" (print_soup rs) after np dur
 
 let gen_scenario = QCheck.Gen.(pair gen_soup (triple (0 -- 50) (1 -- cap) (1 -- 10)))
-let arb_scenario = QCheck.make ~print:print_scenario gen_scenario
 
 (* Fit scenarios mix the sparse soups with dense ones, each with query
    windows that sweep its span. *)
@@ -149,13 +148,23 @@ let prop_bounded_fit_filters =
         ([ after - 1; after; after + 5; after + 20; after + 200 ] @ around);
       !ok)
 
+(* Several windows per scenario: one around [after], one whose
+   [earliest] is below 0, one whose [finish_by] is past every soup, and
+   one exactly [dur] wide. *)
 let prop_latest_fit_matches_reference =
-  QCheck.Test.make ~name:"latest_fit matches brute force" ~count:400 arb_scenario
+  QCheck.Test.make ~name:"latest_fit matches brute force" ~count:400 arb_fit_scenario
     (fun (rs, (after, np, dur)) ->
       let idx = index_of_soup rs in
-      let earliest = max 0 (after - 20) and finish_by = after + 30 in
-      Index.latest_fit idx ~earliest ~finish_by ~procs:np ~dur
-      = Ref_model.latest_fit ~cap rs ~earliest ~finish_by ~np ~dur)
+      List.for_all
+        (fun (earliest, finish_by) ->
+          Index.latest_fit idx ~earliest ~finish_by ~procs:np ~dur
+          = Ref_model.latest_fit ~cap rs ~earliest ~finish_by ~np ~dur)
+        [
+          (max 0 (after - 20), after + 30);
+          (-7 - (after mod 5), after + dur);
+          (after / 2, 185);
+          (after, after + dur);
+        ])
 
 let prop_release_inverts_reserve =
   QCheck.Test.make ~name:"release inverts reserve (persistent)" ~count:300
@@ -236,15 +245,16 @@ let prop_txn_matches_persistent =
     (fun (rs, ops) ->
       let txn = Index.Txn.start (index_of_soup rs) in
       let idx = ref (index_of_soup rs) in
-      let gen0 = Index.Txn.generation txn in
-      let updates = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
       List.iter
         (fun (rel, (s, d, np, at)) ->
           let dur = max 1 (d / 2) in
-          check (Index.Txn.available_at txn at = Index.available_at !idx at);
-          check (Index.Txn.min_in txn ~from_:at ~until:(at + 5) = Index.min_in !idx ~from_:at ~until:(at + 5));
+          (* read-only queries see the transaction through [commit] *)
+          let cur = Index.Txn.commit txn in
+          check (Index.available_at cur at = Index.available_at !idx at);
+          check (Index.min_in cur ~from_:at ~until:(at + 5) = Index.min_in !idx ~from_:at ~until:(at + 5));
+          check (Index.breakpoints cur = Index.breakpoints !idx);
           check
             (Index.Txn.earliest_fit txn ~after:at ~procs:np ~dur
             = Index.earliest_fit !idx ~after:at ~procs:np ~dur);
@@ -255,14 +265,13 @@ let prop_txn_matches_persistent =
             (Index.Txn.latest_fit txn ~earliest:0 ~finish_by:(at + 20) ~procs:np ~dur
             = Index.latest_fit !idx ~earliest:0 ~finish_by:(at + 20) ~procs:np ~dur);
           check
-            (Index.Txn.can_reserve txn ~start:s ~finish:(s + d) ~procs:np
+            (Index.can_reserve cur ~start:s ~finish:(s + d) ~procs:np
             = Index.can_reserve !idx ~start:s ~finish:(s + d) ~procs:np);
           if rel then begin
             let applied = Index.Txn.release txn ~start:s ~finish:(s + d) ~procs:np in
             match Index.release !idx ~start:s ~finish:(s + d) ~procs:np with
             | Some idx' ->
                 check applied;
-                incr updates;
                 idx := idx'
             | None -> check (not applied)
           end
@@ -271,14 +280,11 @@ let prop_txn_matches_persistent =
             match Index.reserve !idx ~start:s ~finish:(s + d) ~procs:np with
             | Some idx' ->
                 check applied;
-                incr updates;
                 idx := idx'
             | None -> check (not applied)
           end)
         ops;
-      (* generation counts exactly the successful updates; commit is the
-         same snapshot the persistent fold reached *)
-      check (Index.Txn.generation txn - gen0 = !updates);
+      (* commit is the same snapshot the persistent fold reached *)
       let committed = Index.Txn.commit txn in
       Index.self_check committed;
       for t = -2 to 60 do
@@ -298,7 +304,7 @@ let prop_txn_commit_isolated =
       && Array.for_all Fun.id
            (Array.init 63 (fun i -> Index.available_at snap (i - 2) = before.(i)))
       && Index.available_at snap 105 = cap
-      && Index.Txn.available_at txn 105 = 0)
+      && Index.available_at (Index.Txn.commit txn) 105 = 0)
 
 (* ------------------------------------------------------------------ *)
 (* Unit: argument validation and small cases *)
@@ -326,18 +332,60 @@ let test_breakpoint_count () =
   Alcotest.(check int) "still 3" 3 (Index.breakpoints idx);
   Index.self_check idx
 
+(* Fit windows past the ends of [int]: no window whose end is not
+   representable, and no start after [finish_by] from a wrapped
+   [finish_by - dur]. *)
+let test_fit_int_extremes () =
+  let idx = Index.create ~procs:1 in
+  let full ~start ~finish = Option.get (Index.reserve idx ~start ~finish ~procs:1) in
+  let some = Alcotest.(check (option int)) in
+  some "latest: finish_by - dur wraps" None
+    (Index.latest_fit idx ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5);
+  some "latest: window starts at min_int" (Some min_int)
+    (Index.latest_fit idx ~earliest:min_int ~finish_by:(min_int + 5) ~procs:1 ~dur:5);
+  some "latest: only [min_int, min_int + 2) clear below 0" None
+    (Index.latest_fit (full ~start:(min_int + 2) ~finish:0) ~earliest:min_int ~finish_by:1
+       ~procs:1 ~dur:5);
+  some "earliest: window ends past max_int" None
+    (Index.earliest_fit idx ~after:(max_int - 2) ~procs:1 ~dur:5);
+  some "earliest: window ends at max_int" (Some (max_int - 5))
+    (Index.earliest_fit idx ~after:(max_int - 5) ~procs:1 ~dur:5);
+  some "earliest: only clear run ends past max_int" None
+    (Index.earliest_fit (full ~start:0 ~finish:(max_int - 3)) ~after:0 ~procs:1 ~dur:5);
+  let txn = Index.Txn.start (full ~start:0 ~finish:(max_int - 3)) in
+  some "txn earliest: only clear run ends past max_int" None
+    (Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:5);
+  some "txn latest: finish_by - dur wraps" None
+    (Index.Txn.latest_fit txn ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5)
+
+(* The sentinel segment itself can be reserved: a window must then start
+   at or after the reservation's end. *)
+let test_blocked_sentinel () =
+  let idx = Option.get (Index.reserve (Index.create ~procs:2) ~start:min_int ~finish:100 ~procs:2) in
+  Index.self_check idx;
+  Alcotest.(check int) "no new breakpoint at min_int" 2 (Index.breakpoints idx);
+  let some = Alcotest.(check (option int)) in
+  some "nothing ends below 100" None
+    (Index.latest_fit idx ~earliest:min_int ~finish_by:99 ~procs:1 ~dur:1);
+  some "nothing fits across 100" None
+    (Index.latest_fit idx ~earliest:min_int ~finish_by:104 ~procs:1 ~dur:5);
+  some "first fit right after" (Some 100)
+    (Index.latest_fit idx ~earliest:min_int ~finish_by:105 ~procs:2 ~dur:5);
+  some "earliest fit at the end" (Some 100) (Index.earliest_fit idx ~after:min_int ~procs:1 ~dur:3)
+
 (* ------------------------------------------------------------------ *)
-(* Visit pin: earliest_fit crosses blocked runs in one walk *)
+(* Visit pin: each fit direction crosses blocked runs in one walk *)
 
 let visits () =
   Option.value ~default:0
     (List.assoc_opt "index.node_visits" (Mp_obs.Snapshot.take ()).Mp_obs.Snapshot.counters)
 
 (* A comb of 1 000 blocked runs: [10i, 10i+5) is full, and each clear gap
-   is one second too short for the query, so the only fit is the tail
-   after the last tooth.  A walk that restarts from the root for every
-   blocked run costs O(K log R) visits; one in-order walk costs about one
-   visit per breakpoint. *)
+   is one second too short for the query, so the only fits are the tail
+   after the last tooth and the time before the first.  A walk that
+   restarts from the root for every blocked run costs O(K log R) visits;
+   one in-order walk, forward or backward, costs about one visit per
+   breakpoint. *)
 let test_comb_one_walk () =
   Mp_obs.with_enabled (fun () ->
       let teeth = 1_000 in
@@ -350,15 +398,21 @@ let test_comb_one_walk () =
       let bps = Index.breakpoints !idx in
       Alcotest.(check int) "sentinel + 2 cuts per tooth" ((2 * teeth) + 1) bps;
       let bound = float_of_int bps +. (8. *. (log (float_of_int bps) /. log 2.)) in
-      let pin form fit =
+      let pin form want fit =
         let v0 = visits () in
-        Alcotest.(check (option int)) (form ^ ": fit after the comb") (Some 9995) (fit ());
+        Alcotest.(check (option int)) form want (fit ());
         let v = visits () - v0 in
         if float_of_int v > bound then
           Alcotest.failf "%s: %d visits exceed %.0f at %d breakpoints" form v bound bps
       in
-      pin "persistent" (fun () -> Index.earliest_fit !idx ~after:0 ~procs:1 ~dur:6);
-      pin "txn" (fun () -> Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:6))
+      let after_comb = Some 9995 and before_comb = Some (-6) in
+      pin "persistent earliest" after_comb (fun () ->
+          Index.earliest_fit !idx ~after:0 ~procs:1 ~dur:6);
+      pin "txn earliest" after_comb (fun () -> Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:6);
+      pin "persistent latest" before_comb (fun () ->
+          Index.latest_fit !idx ~earliest:(-100) ~finish_by:10_000 ~procs:1 ~dur:6);
+      pin "txn latest" before_comb (fun () ->
+          Index.Txn.latest_fit txn ~earliest:(-100) ~finish_by:10_000 ~procs:1 ~dur:6))
 
 (* ------------------------------------------------------------------ *)
 (* Large-R smoke: 10^5 reservations, O(log R) visit bound *)
@@ -424,6 +478,8 @@ let () =
           Alcotest.test_case "create invalid" `Quick test_create_invalid;
           Alcotest.test_case "empty index" `Quick test_empty_index;
           Alcotest.test_case "breakpoint count" `Quick test_breakpoint_count;
+          Alcotest.test_case "fit windows at the ends of int" `Quick test_fit_int_extremes;
+          Alcotest.test_case "blocked sentinel" `Quick test_blocked_sentinel;
           Alcotest.test_case "comb of blocked runs, one walk" `Quick test_comb_one_walk;
         ] );
       ("properties", props);

@@ -143,6 +143,29 @@ let test_latest_fit_none () =
   Alcotest.(check (option int)) "fully booked" None
     (Calendar.latest_fit c ~earliest:0 ~finish_by:100 ~procs:1 ~dur:10)
 
+(* No fit window may end past [max_int] or start after [finish_by]; both
+   forms answer [None] where a wrapped [s + dur] or [finish_by - dur]
+   would have produced a start. *)
+let test_fit_int_extremes () =
+  let c = Calendar.create ~procs:1 in
+  let full ~start ~finish = Calendar.reserve c (Reservation.make ~start ~finish ~procs:1) in
+  let some = Alcotest.(check (option int)) in
+  some "latest: finish_by - dur wraps" None
+    (Calendar.latest_fit c ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5);
+  some "latest: only [min_int, min_int + 2) clear below 0" None
+    (Calendar.latest_fit (full ~start:(min_int + 2) ~finish:0) ~earliest:min_int ~finish_by:1
+       ~procs:1 ~dur:5);
+  some "earliest: window ends past max_int" None
+    (Calendar.earliest_fit c ~after:(max_int - 2) ~procs:1 ~dur:5);
+  let tail = full ~start:0 ~finish:(max_int - 3) in
+  some "earliest: only clear run ends past max_int" None
+    (Calendar.earliest_fit tail ~after:0 ~procs:1 ~dur:5);
+  let txn = Calendar.Txn.start tail in
+  some "txn earliest: only clear run ends past max_int" None
+    (Calendar.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:5);
+  some "txn latest: finish_by - dur wraps" None
+    (Calendar.Txn.latest_fit txn ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5)
+
 let test_release_roundtrip () =
   let c0 = Calendar.create ~procs:8 in
   let r1 = Reservation.make ~start:10 ~finish:50 ~procs:3 in
@@ -475,7 +498,9 @@ let prop_txn_matches_persistent_fold =
       List.iter
         (fun (s, d, np, after) ->
           let dur = max 1 (d / 2) in
-          check (Calendar.Txn.available_at txn after = Calendar.available_at !cal after);
+          (* read-only queries see the transaction through [commit] *)
+          let cur = Calendar.Txn.commit txn in
+          check (Calendar.available_at cur after = Calendar.available_at !cal after);
           check
             (Calendar.Txn.earliest_fit txn ~after ~procs:np ~dur
             = Calendar.earliest_fit !cal ~after ~procs:np ~dur);
@@ -489,7 +514,7 @@ let prop_txn_matches_persistent_fold =
             (Calendar.Txn.latest_fit txn ~earliest:0 ~finish_by:(after + 20) ~procs:np ~dur
             = Calendar.latest_fit !cal ~earliest:0 ~finish_by:(after + 20) ~procs:np ~dur);
           let r = Reservation.make ~start:s ~finish:(s + d) ~procs:np in
-          check (Calendar.Txn.can_reserve txn r = Calendar.can_reserve !cal r);
+          check (Calendar.can_reserve cur r = Calendar.can_reserve !cal r);
           let applied = Calendar.Txn.reserve_opt txn r in
           (match Calendar.reserve_opt !cal r with
           | Some cal' ->
@@ -498,34 +523,6 @@ let prop_txn_matches_persistent_fold =
           | None -> check (not applied)))
         ops;
       !ok)
-
-(* latest_fit_scan is a generation-stamped facade over [Txn.latest_fit]
-   (the tree summaries already make the walk O(log R) per blocked run);
-   it must agree with it everywhere, and go stale on reserve. *)
-let prop_latest_fit_scan_matches_latest_fit =
-  QCheck.Test.make ~name:"latest_fit_scan matches latest_fit" ~count:200
-    (QCheck.make QCheck.Gen.(pair (gen_reservations 5) (20 -- 60)))
-    (fun (rs, finish_by) ->
-      let txn = Calendar.Txn.start (Calendar.of_reservations ~procs:5 rs) in
-      let scan = Calendar.Txn.latest_scan txn ~finish_by in
-      let ok = ref true in
-      for earliest = 0 to 12 do
-        for np = 1 to 5 do
-          for dur = 1 to 8 do
-            let got = Calendar.Txn.latest_fit_scan scan ~earliest ~procs:np ~dur in
-            let want = Calendar.Txn.latest_fit txn ~earliest ~finish_by ~procs:np ~dur in
-            if got <> want then ok := false
-          done
-        done
-      done;
-      (* any reserve invalidates the scan (far-future slot: always free) *)
-      Calendar.Txn.reserve txn (Reservation.make ~start:1000 ~finish:1001 ~procs:1);
-      let stale =
-        match Calendar.Txn.latest_fit_scan scan ~earliest:0 ~procs:1 ~dur:1 with
-        | exception Invalid_argument _ -> true
-        | _ -> false
-      in
-      !ok && stale)
 
 let () =
   let props =
@@ -542,7 +539,6 @@ let () =
         prop_incremental_reserve_matches_cold_calendar;
         prop_calendar_matches_raw_index;
         prop_txn_matches_persistent_fold;
-        prop_latest_fit_scan_matches_latest_fit;
       ]
   in
   Alcotest.run "platform"
@@ -570,6 +566,7 @@ let () =
           Alcotest.test_case "latest_fit simple" `Quick test_latest_fit_simple;
           Alcotest.test_case "latest_fit blocked" `Quick test_latest_fit_blocked;
           Alcotest.test_case "latest_fit none" `Quick test_latest_fit_none;
+          Alcotest.test_case "fit windows at the ends of int" `Quick test_fit_int_extremes;
           Alcotest.test_case "busy series" `Quick test_busy_series;
           Alcotest.test_case "release roundtrip" `Quick test_release_roundtrip;
           Alcotest.test_case "release not held" `Quick test_release_not_held;

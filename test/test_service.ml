@@ -92,6 +92,27 @@ let test_engine_probe_reads_only () =
   | Response.Available None -> ()
   | r -> Alcotest.failf "oversize probe answered %s" (Response.to_string r)
 
+(* A window ending past [max_int] is out of range like a negative start:
+   no grant, no suggestion, and no catch-all error string. *)
+let test_engine_window_past_max_int () =
+  let e = reservation_engine ~procs:1 () in
+  (match Engine.handle e ~site:0 (Request.Probe { start = max_int - 2; dur = 5; procs = 1 }) with
+  | Response.Available None -> ()
+  | r -> Alcotest.failf "probe past max_int answered %s" (Response.to_string r));
+  (match reserve e ~start:(max_int - 2) ~dur:5 ~procs:1 with
+  | Response.Rejected None -> ()
+  | r -> Alcotest.failf "reserve past max_int answered %s" (Response.to_string r));
+  (* the only clear run left starts at [max_int - 3]: too short *)
+  (match reserve e ~start:0 ~dur:(max_int - 3) ~procs:1 with
+  | Response.Granted -> ()
+  | r -> Alcotest.failf "reserve up to max_int - 3 answered %s" (Response.to_string r));
+  (match Engine.handle e ~site:0 (Request.Probe { start = 0; dur = 5; procs = 1 }) with
+  | Response.Available None -> ()
+  | r -> Alcotest.failf "probe into the tail answered %s" (Response.to_string r));
+  match reserve e ~start:0 ~dur:5 ~procs:1 with
+  | Response.Rejected None -> ()
+  | r -> Alcotest.failf "blocked reserve answered %s" (Response.to_string r)
+
 let test_engine_cancel_not_held () =
   let e = reservation_engine () in
   (match Engine.handle e ~site:0 (Request.Reserve { start = 0; dur = 10; procs = 4 }) with
@@ -707,6 +728,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "probe reads only" `Quick test_engine_probe_reads_only;
+          Alcotest.test_case "window past max_int" `Quick test_engine_window_past_max_int;
           Alcotest.test_case "cancel not held" `Quick test_engine_cancel_not_held;
           Alcotest.test_case "cancel duplicate grants" `Quick test_engine_cancel_duplicate_grants;
           Alcotest.test_case "not-held cancel is inert" `Quick test_engine_cancel_not_held_is_inert;
