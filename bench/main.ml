@@ -271,13 +271,12 @@ let section ?(counters = true) title f =
           (* Every remaining counter — including the index tree's
              node-visit and descent counts — is deterministic for a given
              scale/jobs, so all non-zero deltas ride into the baseline.
-             The exceptions: the pool's steal-traffic family (which worker
-             claims which chunk depends on OS scheduling) and the
-             speculation family (it fires only when a pool is lent, which
-             depends on the jobs value) — those must not be gated. *)
+             The exception is the pool's steal-traffic family (which
+             worker claims which chunk depends on OS scheduling): it must
+             not be gated. *)
           let nondeterministic = function
             | "pool.steals" | "pool.tasks_stolen" | "pool.busy_ns" -> true
-            | k -> String.length k >= 5 && String.sub k 0 5 = "spec."
+            | _ -> false
           in
           List.filter_map
             (fun (k, v) ->

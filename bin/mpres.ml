@@ -40,21 +40,12 @@ module Serve = Mp_core.Serve
 (* One-shot service over the instance's calendar: the schedule, deadline
    and explain subcommands all submit through this engine, so the CLI and
    the serve daemon exercise the same code path. *)
-let one_shot_engine ?spec (inst : Instance.t) =
-  Serve.engine ?spec ~sites:[| { Engine.calendar = inst.env.calendar; q = inst.env.q } |] ()
+let one_shot_engine (inst : Instance.t) =
+  Serve.engine ~sites:[| { Engine.calendar = inst.env.calendar; q = inst.env.q } |] ()
 
-let submit_one ?spec inst ~algo ~deadline =
-  Engine.handle (one_shot_engine ?spec inst) ~site:0
+let submit_one inst ~algo ~deadline =
+  Engine.handle (one_shot_engine inst) ~site:0
     (Request.Submit_dag { dag = inst.Instance.dag; algo; deadline })
-
-(* Lend a pool of [jobs] workers to the tightest-deadline search a
-   one-shot subcommand makes (Mp_core.Speculate).  Speculation is
-   output-preserving, so the result is bit-identical for any [jobs];
-   [jobs = 1] skips the pool entirely (the sequential reference). *)
-let with_spec jobs f =
-  if jobs <= 1 then f None
-  else
-    Mp_prelude.Pool.with_pool ~jobs (fun pool -> f (Some (Mp_core.Speculate.create pool)))
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments *)
@@ -339,8 +330,7 @@ let schedule_cmd =
 (* deadline *)
 
 let deadline seed params log phi method_ shape dag_file swf_file algo_name deadline_s gantt
-    svg_file jobs trace =
-  if jobs < 1 then die "--jobs must be at least 1";
+    svg_file trace =
   with_trace trace @@ fun () ->
   match Algo.find algo_name with
   | None -> unknown_algo algo_name
@@ -352,8 +342,7 @@ let deadline seed params log phi method_ shape dag_file swf_file algo_name deadl
   | Some (`Deadline algo) -> (
       let inst = instance_of ?dag_file ?swf_file ~seed ~params ~log ~phi ~method_ ~shape () in
       let dspec = match deadline_s with Some k -> Request.By k | None -> Request.Tightest in
-      with_spec jobs @@ fun spec ->
-      match submit_one ?spec inst ~algo:algo.name ~deadline:dspec with
+      match submit_one inst ~algo:algo.name ~deadline:dspec with
       | Response.Scheduled { schedule = sched; deadline } ->
           (match (deadline_s, deadline) with
           | Some k, _ -> Format.printf "deadline %d met.@." k
@@ -386,7 +375,7 @@ let deadline_cmd =
     (Cmd.info "deadline" ~doc:"Solve RESSCHEDDL on a random instance")
     Term.(
       const deadline $ seed_t $ dag_params_t $ log_t $ phi_t $ method_t $ shape_t $ dag_file_t
-      $ swf_file_t $ algo $ dl $ gantt_t $ svg_t $ jobs_t $ trace_t)
+      $ swf_file_t $ algo $ dl $ gantt_t $ svg_t $ trace_t)
 
 (* ------------------------------------------------------------------ *)
 (* explain *)

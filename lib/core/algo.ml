@@ -45,13 +45,13 @@ let rc c =
     name = Deadline.conservative_name c;
     run = (fun env dag ~deadline -> Deadline.resource_conservative c env dag ~deadline);
     prepare =
-      (fun ?spec env dag ->
-        let prepared = Deadline.conservative_prepared ?spec c env dag in
+      (fun ?spec:_ env dag ->
+        let prepared = Deadline.conservative_prepared c env dag in
         fun ~deadline -> prepared ~lambda:0. ~deadline);
   }
 
-let hybrid_prepare ~bounded_fallback ?spec env dag =
-  let prepared = Deadline.hybrid_prepared ~bounded_fallback ?spec env dag in
+let hybrid_prepare ~bounded_fallback ?spec:_ env dag =
+  let prepared = Deadline.hybrid_prepared ~bounded_fallback env dag in
   fun ~deadline -> Option.map fst (prepared ~deadline)
 
 let rc_lambda =
@@ -60,7 +60,7 @@ let rc_lambda =
     run =
       (fun env dag ~deadline ->
         Option.map fst (Deadline.hybrid ~bounded_fallback:false env dag ~deadline));
-    prepare = (fun ?spec env dag -> hybrid_prepare ~bounded_fallback:false ?spec env dag);
+    prepare = hybrid_prepare ~bounded_fallback:false;
   }
 
 let rcbd_lambda =
@@ -69,7 +69,7 @@ let rcbd_lambda =
     run =
       (fun env dag ~deadline ->
         Option.map fst (Deadline.hybrid ~bounded_fallback:true env dag ~deadline));
-    prepare = (fun ?spec env dag -> hybrid_prepare ~bounded_fallback:true ?spec env dag);
+    prepare = hybrid_prepare ~bounded_fallback:true;
   }
 
 let deadline_main =

@@ -4,9 +4,10 @@
 type ressched = {
   name : string;
   run : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> Mp_cpa.Schedule.t;
-      (** [?spec] is ignored: RESSCHED never speculates.  The parameter
-          stays only for callers that build this record themselves with
-          an optional [spec] argument. *)
+      (** [?spec] is ignored.  It stays until the repository benchmark,
+          which builds this record with an optional [spec] argument,
+          stops passing it; the change after that deletes it (see
+          {!Speculate}). *)
 }
 
 type deadline = {
@@ -15,10 +16,9 @@ type deadline = {
   prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
       (** partial application at [Env.t -> Dag.t] precomputes the
           deadline-independent data; use for deadline sweeps (see
-          {!Deadline.aggressive_prepared}).  [?spec] warms the closure's
-          memo so that a {!Deadline.tightest} search given the same
-          [spec] may call it from several domains at once; it never
-          changes a result. *)
+          {!Deadline.aggressive_prepared}).  A conservative or hybrid
+          closure fills a memo lazily, so call it from one domain at a
+          time.  [?spec] is ignored, as for [run]. *)
 }
 
 val ressched_main : ressched list

@@ -186,7 +186,7 @@ let aggressive_prepared algo (env : Env.t) dag =
 
 let aggressive algo env dag ~deadline = aggressive_prepared algo env dag ~deadline
 
-let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) dag =
+let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
   let order = Bottom_level.order Bottom_level.BL_CPAR env dag in
   let ref_q = match algo with DL_RC_CPA -> env.p | DL_RC_CPAR -> env.q in
   let ref_allocs = Allocation.allocate ~p:ref_q dag in
@@ -194,10 +194,6 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
      backward order, so the reference starts they consult are the same
      order-prefix schedules: memoize them across probes. *)
   let refs = Mapping.prefix_references dag ~allocs:ref_allocs ~p:ref_q ~order in
-  (* The memo fills lazily in decreasing position order; a speculative
-     tightest search runs probes on worker domains, so force it
-     read-only up front. *)
-  if spec <> None && Dag.n dag > 0 then ignore (Mapping.reference_start refs 0);
   let cons_cands = candidate_tables dag ~bound_of:(fun _ -> env.p) in
   let fb_cands =
     if bounded_fallback then begin
@@ -223,9 +219,9 @@ let conservative_prepared ?(bounded_fallback = false) ?spec algo (env : Env.t) d
 let resource_conservative ?(lambda = 0.) ?bounded_fallback algo env dag ~deadline =
   conservative_prepared ?bounded_fallback algo env dag ~lambda ~deadline
 
-let hybrid_prepared ?bounded_fallback ?(step = 0.05) ?spec env dag =
+let hybrid_prepared ?bounded_fallback ?(step = 0.05) env dag =
   if step <= 0. then invalid_arg "Deadline.hybrid: step <= 0";
-  let prepared = conservative_prepared ?bounded_fallback ?spec DL_RC_CPAR env dag in
+  let prepared = conservative_prepared ?bounded_fallback DL_RC_CPAR env dag in
   (* λ_k = min 1 (k·step), k = 0..n_steps — an integer grid, not repeated
      float accumulation, so the probed values carry no accumulated
      rounding.  n_steps is the first k with k·step >= 1 (the old
@@ -253,101 +249,34 @@ let lower_bound (env : Env.t) dag =
 
 let bracket_attempts = 22
 
-let tightest ?(resolution = 60) ?spec algo env dag =
+let tightest ?(resolution = 60) ?spec:_ algo env dag =
   if resolution < 1 then invalid_arg "Deadline.tightest: resolution < 1";
   let lo = max 1 (lower_bound env dag) in
   let probe ~deadline =
     Mp_obs.Counter.incr c_probes;
     algo ~deadline
   in
-  (* Find a feasible upper bracket by doubling. *)
-  let bracket_seq () =
-    let rec bracket hi attempts =
-      if attempts = 0 then None
-      else begin
-        match probe ~deadline:hi with
-        | Some sched -> Some (hi, sched)
-        | None -> bracket (hi * 2) (attempts - 1)
-      end
-    in
-    bracket lo bracket_attempts
+  (* Find a feasible upper bracket by doubling from [lo]; [missed] keeps
+     the deadlines it found infeasible. *)
+  let rec bracket hi attempts missed =
+    if attempts = 0 then None
+    else
+      match probe ~deadline:hi with
+      | Some sched -> Some (hi, sched, missed)
+      | None -> bracket (hi * 2) (attempts - 1) (hi :: missed)
   in
-  (* The doubling candidates are a fixed list: fan them in fixed-width
-     waves; the smallest-index success is the bracket the sequential
-     doubling finds. *)
-  let bracket_spec sp =
-    let cands = Array.init bracket_attempts (fun j -> lo * (1 lsl j)) in
-    let rec waves j0 =
-      if j0 >= bracket_attempts then None
-      else begin
-        let w = min Speculate.wave_width (bracket_attempts - j0) in
-        let thunks = Array.init w (fun j () -> probe ~deadline:cands.(j0 + j)) in
-        match Speculate.first_some sp thunks with
-        | Some (j, sched) -> Some (cands.(j0 + j), sched)
-        | None -> waves (j0 + w)
-      end
-    in
-    waves 0
-  in
-  let search_seq lo hi best =
-    let rec search lo hi best =
-      if hi - lo <= resolution then best
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        match probe ~deadline:mid with
-        | Some sched -> search lo mid (mid, sched)
-        | None -> search mid hi best
-      end
-    in
-    search lo hi best
-  in
-  (* Speculative bisection: one wave evaluates the current midpoint and
-     the midpoints of both possible next intervals, then consumes the
-     branch the current probe selects — two bisection levels per wave
-     for three probes, the probed deadlines and the result exactly those
-     of the sequential search (the third probe is wasted). *)
-  let search_spec sp lo hi best =
-    let rec search lo hi best =
-      if hi - lo <= resolution then best
-      else begin
-        let mid = lo + ((hi - lo) / 2) in
-        let mid_s = lo + ((mid - lo) / 2) in
-        let mid_f = mid + ((hi - mid) / 2) in
-        Speculate.wave_probes 3;
-        let results =
-          Speculate.map_array sp
-            [|
-              (fun () -> probe ~deadline:mid);
-              (fun () -> probe ~deadline:mid_s);
-              (fun () -> probe ~deadline:mid_f);
-            |]
-        in
-        Speculate.wave_wasted 1;
-        match results.(0) with
-        | Some sched ->
-            if mid - lo <= resolution then (mid, sched)
-            else begin
-              match results.(1) with
-              | Some sched' -> search lo mid_s (mid_s, sched')
-              | None -> search mid_s mid (mid, sched)
-            end
-        | None ->
-            if hi - mid <= resolution then best
-            else begin
-              match results.(2) with
-              | Some sched' -> search mid mid_f (mid_f, sched')
-              | None -> search mid_f hi best
-            end
-      end
-    in
-    search lo hi best
-  in
-  Speculate.lend spec
-    ~sequential:(fun () ->
-      match bracket_seq () with
-      | None -> None
-      | Some (hi0, sched0) -> Some (search_seq lo hi0 (hi0, sched0)))
-    ~speculative:(fun sp ->
-      match bracket_spec sp with
-      | None -> None
-      | Some (hi0, sched0) -> Some (search_spec sp lo hi0 (hi0, sched0)))
+  match bracket lo bracket_attempts [] with
+  | None -> None
+  | Some (hi, sched, missed) ->
+      (* Bisect between [lo] and the bracket.  A midpoint can land on a
+         deadline the bracket already missed; its verdict is known, so
+         the algorithm is not run again. *)
+      let rec search lo hi best =
+        if hi - lo <= resolution then best
+        else
+          let mid = lo + ((hi - lo) / 2) in
+          match if List.mem mid missed then None else probe ~deadline:mid with
+          | Some sched -> search lo mid (mid, sched)
+          | None -> search mid hi best
+      in
+      Some (search lo hi (hi, sched))

@@ -33,19 +33,7 @@
 
     [DL_RC_CPAR-λ]: sweep λ from 0 to 1 in steps of 0.05 and keep the
     first (most resource-conservative) λ that meets the deadline.
-    [DL_RCBD_CPAR-λ]: same with the CPA-bounded fallback.
-
-    {2 Speculation}
-
-    {!tightest} takes [?spec] (a {!Speculate.t}): when given, idle pool
-    workers evaluate the search's probes in waves, with the returned
-    deadline and schedule {e identical} to the sequential run (see
-    "Intra-schedule speculation" in DESIGN.md).  The probes then run
-    on several domains at once, so the closure they call must share only
-    read-only state: prepare it with {!conservative_prepared} or
-    {!hybrid_prepared} under the {e same} [spec], which eagerly warms
-    the closure's memo table.  {!aggressive_prepared} keeps no memo and
-    needs no [spec].  Nothing else in this module speculates. *)
+    [DL_RCBD_CPAR-λ]: same with the CPA-bounded fallback. *)
 
 type aggressive = DL_BD_ALL | DL_BD_CPA | DL_BD_CPAR
 type conservative = DL_RC_CPA | DL_RC_CPAR
@@ -73,13 +61,11 @@ val aggressive_prepared :
     {!Mp_cpa.Mapping.prefix_references}), none of which depends on the
     deadline; deadline sweeps — binary searches, λ sweeps — should reuse
     the resulting closure.  The conservative closures carry a
-    lazily-filled memo unless prepared under [?spec] (see
-    {!conservative_prepared}); an aggressive closure is safe to share
-    across domains. *)
+    lazily-filled memo (see {!conservative_prepared}); an aggressive
+    closure is safe to share across domains. *)
 
 val conservative_prepared :
   ?bounded_fallback:bool ->
-  ?spec:Speculate.t ->
   conservative ->
   Env.t ->
   Mp_dag.Dag.t ->
@@ -88,17 +74,13 @@ val conservative_prepared :
   Mp_cpa.Schedule.t option
 (** Prepared variant of {!resource_conservative} (same precomputation
     note as {!aggressive_prepared}; [lambda] stays a per-call argument so
-    the hybrid's sweep shares one preparation).  Without [?spec] the
-    closure's memo of reference schedules fills lazily: share one closure
-    within a domain, not across concurrently-running domains.  With
-    [?spec] the memo is forced at preparation, so a {!tightest} search
-    given the same [spec] may fan the closure's probes across the
-    pool. *)
+    the hybrid's sweep shares one preparation).  The closure's memo of
+    reference schedules fills lazily: share one closure within a domain,
+    not across concurrently-running domains. *)
 
 val hybrid_prepared :
   ?bounded_fallback:bool ->
   ?step:float ->
-  ?spec:Speculate.t ->
   Env.t ->
   Mp_dag.Dag.t ->
   deadline:int ->
@@ -106,8 +88,7 @@ val hybrid_prepared :
 (** Prepared variant of {!hybrid}.  The λ grid is [λ_k = min 1 (k·step)]
     for [k = 0, 1, …] up to the first [k] with [k·step >= 1] — an
     integer-indexed grid with no accumulated float rounding, swept in
-    order.  [?spec] only warms the memo, as for
-    {!conservative_prepared}. *)
+    order.  Same memo note as {!conservative_prepared}. *)
 
 val resource_conservative :
   ?lambda:float ->
@@ -144,10 +125,12 @@ val tightest :
 (** [tightest algo env dag] binary-searches the smallest deadline the
     algorithm can meet, to [resolution] seconds (default 60), as in the
     paper's evaluation (Section 5.3).  The upper bracket is found by
-    doubling from {!lower_bound}; [None] if the algorithm fails even on a
-    deadline ~10{^6} times the lower bound.  With [?spec], the doubling
-    bracket fans in waves and each bisection wave evaluates the current
-    midpoint together with both possible next midpoints — same probed
-    deadlines on the consumed path, same result; [algo] must then be
-    safe to call from several domains at once (a closure prepared under
-    the same [spec], see above). *)
+    doubling from [lo = max 1 (lower_bound env dag)]: the first feasible
+    deadline among [lo · 2^j], [j = 0 … 21], or [None] if there is none.
+    Bisection then narrows [(lo, bracket]] and returns the last feasible
+    midpoint, or the bracket.  For an algorithm whose feasibility is a
+    threshold [t], the answer is [lo] when [t <= lo] and otherwise lies
+    in [[t, t + resolution)].  No deadline is probed twice.
+
+    [?spec] is ignored.  It stays until the repository benchmark stops
+    passing it; the change after that deletes it (see {!Speculate}). *)

@@ -13,7 +13,7 @@ let unknown_algo name =
 
 let env ~q cal = Env.make ~calendar:cal ~q:(float_of_int q)
 
-let submit ?spec ~algo ~deadline ~q cal dag =
+let submit ~algo ~deadline ~q cal dag =
   match Algo.find algo with
   | None -> unknown_algo algo
   | Some (`Ressched a) -> (
@@ -35,7 +35,7 @@ let submit ?spec ~algo ~deadline ~q cal dag =
       | No_deadline | Tightest -> (
           (* the CLI's --deadline-omitted behaviour: search for the
              tightest feasible deadline *)
-          match Deadline.tightest ?spec (a.Algo.prepare ?spec env dag) env dag with
+          match Deadline.tightest (a.Algo.prepare env dag) env dag with
           | Some (k, schedule) -> Response.Scheduled { schedule; deadline = Some k }
           | None -> Response.Infeasible { algo; deadline = None }))
 
@@ -72,7 +72,7 @@ let render_explain ~header ~format ~base sched entries =
            ~story:(Journal.story entries))
   | other -> Result.Error (Printf.sprintf "unknown format %S (text, json, svg, html)" other)
 
-let explain ?spec ~algo ~deadline ~format ~q cal dag =
+let explain ~algo ~deadline ~format ~q cal dag =
   let env = env ~q cal in
   let journaled header run =
     let header =
@@ -92,13 +92,12 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
   | Some (`Deadline a) -> (
       (* resolve the deadline before journaling: the tightest search
          probes many deadlines, and journaling only the final run keeps
-         the story readable (the journal is still off here, so the
-         resolution may speculate) *)
+         the story readable *)
       let resolved =
         match deadline with
         | Some k -> Some (k, "")
         | None ->
-            Deadline.tightest ?spec (a.Algo.prepare ?spec env dag) env dag
+            Deadline.tightest (a.Algo.prepare env dag) env dag
             |> Option.map (fun (k, _) -> (k, " (tightest)"))
       in
       match resolved with
@@ -109,6 +108,6 @@ let explain ?spec ~algo ~deadline ~format ~q cal dag =
               | Some sched -> sched
               | None -> failwith (Printf.sprintf "deadline %d cannot be met by %s" k a.Algo.name)))
 
-let handlers ?spec () = { Engine.submit = submit ?spec; explain = explain ?spec }
+let handlers () = { Engine.submit; explain }
 
-let engine ?spec ~sites () = Engine.create ~handlers:(handlers ?spec ()) ~sites ()
+let engine ~sites () = Engine.create ~handlers:(handlers ()) ~sites ()

@@ -22,28 +22,21 @@
     {2 Concurrency}
 
     No lock: requests on different sites run in parallel, whole-DAG work
-    included.  Sites share no mutable state, and the decision journal
+    included.  Each request runs on one domain, its tightest-deadline
+    search too.  Sites share no mutable state, and the decision journal
     that {!explain} records through belongs to the domain running the
     request ({!Mp_forensics.Journal.record}), so concurrent explains,
     submits and reservation traffic never reach each other's reports. *)
 
-val handlers : ?spec:Speculate.t -> unit -> Mp_service.Engine.handlers
+val handlers : unit -> Mp_service.Engine.handlers
 (** The registry-backed handlers: plug into
-    {!Mp_service.Engine.create}.  [?spec] lends a pool to each request's
-    tightest-deadline search (see {!Speculate}); it must be a pool
-    {e distinct} from the one fanning the engine's per-site streams (a
-    pool batch is not re-entrant).  Concurrent requests share its busy
-    flag, so one search speculates at a time and the others run
-    sequentially.  Speculation is output-preserving: responses are
-    bit-identical with or without it. *)
+    {!Mp_service.Engine.create}. *)
 
-val engine :
-  ?spec:Speculate.t -> sites:Mp_service.Engine.site_spec array -> unit -> Mp_service.Engine.t
+val engine : sites:Mp_service.Engine.site_spec array -> unit -> Mp_service.Engine.t
 (** [engine ~sites ()] is {!Mp_service.Engine.create} with {!handlers}
     attached — the full service, able to answer every request kind. *)
 
 val submit :
-  ?spec:Speculate.t ->
   algo:string ->
   deadline:Mp_service.Request.deadline_spec ->
   q:int ->
@@ -55,7 +48,6 @@ val submit :
     (normally the engine) commits the scheduled reservations. *)
 
 val explain :
-  ?spec:Speculate.t ->
   algo:string ->
   deadline:int option ->
   format:string ->

@@ -1,7 +1,12 @@
 type t = { id : int; seq : float; alpha : float }
 
+(* [exec_time]'s [int_of_float] is undefined for NaN and infinities, and
+   past 2^53 s a float no longer holds every whole second. *)
 let make ~id ~seq ~alpha =
+  if not (Float.is_finite seq) then invalid_arg "Task.make: seq is NaN or infinite";
   if seq <= 0. then invalid_arg "Task.make: seq <= 0";
+  if seq >= 0x1p53 then invalid_arg "Task.make: seq >= 2^53 s";
+  if Float.is_nan alpha then invalid_arg "Task.make: alpha is NaN";
   if alpha < 0. || alpha > 1. then invalid_arg "Task.make: alpha not in [0,1]";
   { id; seq; alpha }
 

@@ -12,7 +12,9 @@
 type t = { id : int; seq : float; alpha : float }
 
 val make : id:int -> seq:float -> alpha:float -> t
-(** Raises [Invalid_argument] unless [seq > 0] and [0 <= alpha <= 1]. *)
+(** Raises [Invalid_argument] unless [0 < seq < 2^53] and
+    [0 <= alpha <= 1].  NaN and infinite values are rejected with a
+    message of their own. *)
 
 val exec_time : t -> int -> int
 (** [exec_time t np] is the execution time in whole seconds on [np >= 1]

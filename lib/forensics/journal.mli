@@ -24,8 +24,7 @@
     calling domain's [Domain.DLS] slot, so {!record} captures only its
     own domain's entries and journaled runs on different domains overlap
     freely.  A journaled run must stay on one domain: nothing inside a
-    schedule fans out, and [Mp_core.Speculate] stands down while the
-    journal is on. *)
+    schedule or a tightest-deadline search fans out. *)
 
 val enabled : unit -> bool
 (** Whether the journal is on for the calling domain; [false] outside

@@ -216,7 +216,11 @@ let field v name =
 
 let str v name = match field v name with Some (Str s) -> Some s | _ -> None
 let num v name = match field v name with Some (Num f) -> Some f | _ -> None
-let to_int = function Num f -> Some (int_of_float f) | _ -> None
+(* [int_of_float] truncates fractions and wraps values past the range of
+   [int]; both must read as "not an int". *)
+let to_int = function
+  | Num f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Some (int_of_float f)
+  | _ -> None
 let int_ v name = match field v name with Some j -> to_int j | None -> None
 let arr v name = match field v name with Some (Arr l) -> Some l | _ -> None
 let obj v name = match field v name with Some (Obj l) -> Some l | _ -> None

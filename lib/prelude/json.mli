@@ -60,4 +60,6 @@ val arr : t -> string -> t list option
 val obj : t -> string -> (string * t) list option
 
 val to_int : t -> int option
-(** [to_int (Num f)] truncates; [None] on non-numbers. *)
+(** [Some i] when the value is a number holding the integer [i] in
+    [[-2^62, 2^62)]; [None] on a fraction, a value outside that range
+    or a non-number. *)

@@ -94,8 +94,6 @@ let create ?jobs () =
   t.domains <- Array.init (jobs - 1) (fun w -> Domain.spawn (fun () -> worker t w));
   t
 
-let jobs t = t.jobs
-
 (* --- stealing executor ------------------------------------------------- *)
 
 (* Claim granularity: a pure function of (n, jobs) alone — never of
@@ -231,28 +229,6 @@ let map_array t f items =
   end
 
 let map t f xs = Array.to_list (map_array t f (Array.of_list xs))
-
-(* A speculative wave: every thunk runs (they are independent probes of a
-   search), but the *selection* replays the sequential scan — walk the
-   slots in index order, re-raise the first captured exception, stop at
-   the first [Some].  Thunk exceptions are captured into the result slots
-   by the wrapper below, never surfaced by [map_array] itself, so an
-   exception at index j is suppressed by a success at i < j exactly as a
-   sequential scan (which would never have evaluated j) suppresses it. *)
-let first_some t thunks =
-  let results =
-    map_array t (fun thunk -> match thunk () with v -> Ok v | exception e -> Error e) thunks
-  in
-  let n = Array.length results in
-  let rec scan i =
-    if i >= n then None
-    else
-      match results.(i) with
-      | Error e -> raise e
-      | Ok (Some v) -> Some (i, v)
-      | Ok None -> scan (i + 1)
-  in
-  scan 0
 
 let shutdown t =
   Mutex.lock t.mutex;

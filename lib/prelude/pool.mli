@@ -2,8 +2,10 @@
     work items.
 
     The pool exists so the simulation layer can spread embarrassingly
-    parallel ⟨instance, algorithm⟩ cells over the machine's cores while
-    keeping results {e bit-identical} to sequential execution.  The
+    parallel ⟨instance, algorithm⟩ cells, and the scheduling service its
+    per-site request streams, over the machine's cores while keeping
+    results {e bit-identical} to sequential execution.  A work item runs
+    its schedule on one domain: nothing fans out inside a schedule.  The
     executor is deterministic work stealing, and the determinism contract
     is purely structural (which worker runs an item is {e not} fixed):
 
@@ -50,9 +52,6 @@ val create : ?jobs:int -> unit -> t
     [Invalid_argument] if [jobs < 1].  Call {!shutdown} (or use
     {!with_pool}) when done — idle workers block a domain each. *)
 
-val jobs : t -> int
-(** Worker count (including the calling domain). *)
-
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], fanned over the pool's workers.
     Result order — and on failure, which exception propagates — is
@@ -65,19 +64,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array counterpart of {!map}. *)
-
-val first_some : t -> (unit -> 'a option) array -> (int * 'a) option
-(** Speculative wave: run every thunk on the pool, then select exactly
-    what the sequential scan [thunks.(0) (); thunks.(1) (); …] stopping
-    at the first [Some] would have selected — the smallest index whose
-    thunk returned [Some v] (as [(index, v)]), or [None] when all
-    returned [None].  An exception raised by thunk [j] propagates iff no
-    thunk [i < j] returned [Some] — again matching the sequential scan,
-    which would not have evaluated [j].  The one observable difference
-    from that scan is that thunks past the winner {e do run} (their side
-    effects — probe counters, allocations — happen), so thunks must be
-    pure up to record-only instrumentation.  Same batching rules as
-    {!map}: not re-entrant, raises after {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Join all worker domains.  Idempotent; subsequent {!map} calls

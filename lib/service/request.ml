@@ -59,7 +59,10 @@ let dag_of_json j =
           (fun acc ej ->
             let* acc = acc in
             match ej with
-            | Json.Arr [ Json.Num a; Json.Num b ] -> Ok ((int_of_float a, int_of_float b) :: acc)
+            | Json.Arr [ a; b ] -> (
+                match (Json.to_int a, Json.to_int b) with
+                | Some a, Some b -> Ok ((a, b) :: acc)
+                | _ -> Error "dag: edge must be [pred,succ]")
             | _ -> Error "dag: edge must be [pred,succ]")
           (Ok []) l
   in
@@ -83,9 +86,11 @@ let deadline_spec_to_json = function
 
 let deadline_spec_of_json = function
   | None | Some Json.Null -> Ok No_deadline
-  | Some (Json.Num k) -> Ok (By (int_of_float k))
   | Some (Json.Str "tightest") -> Ok Tightest
-  | Some _ -> Error "deadline must be null, an int, or \"tightest\""
+  | Some j -> (
+      match Json.to_int j with
+      | Some k -> Ok (By k)
+      | None -> Error "deadline must be null, an int, or \"tightest\"")
 
 let to_json r =
   let tag = ("request", Json.Str (kind r)) in
@@ -119,6 +124,14 @@ let req_int j name =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "request field %S must be an int" name)
 
+let opt_int j name =
+  match Json.field j name with
+  | None | Some Json.Null -> Ok None
+  | Some v -> (
+      match Json.to_int v with
+      | Some i -> Ok (Some i)
+      | None -> Error (Printf.sprintf "request field %S must be null or an int" name))
+
 let of_json j =
   let ( let* ) = Result.bind in
   match Json.str j "request" with
@@ -141,11 +154,7 @@ let of_json j =
           Ok (Submit_dag { dag; algo; deadline })
       | _ -> Error "submit_dag: missing algo or dag")
   | Some "explain" -> (
-      let deadline =
-        match Json.field j "deadline" with
-        | Some (Json.Num k) -> Some (int_of_float k)
-        | _ -> None
-      in
+      let* deadline = opt_int j "deadline" in
       match (Json.str j "algo", Json.str j "format", Json.field j "dag") with
       | Some algo, Some format, Some dj ->
           let* dag = dag_of_json dj in
@@ -171,7 +180,7 @@ let envelope_of_json j =
   let* id = req_int j "id" in
   let* site = req_int j "site" in
   let* arrival = req_int j "arrival" in
-  let budget = match Json.field j "budget" with Some (Json.Num b) -> Some (int_of_float b) | _ -> None in
+  let* budget = opt_int j "budget" in
   match Json.field j "payload" with
   | None -> Error "envelope: missing payload"
   | Some pj ->

@@ -75,6 +75,11 @@ type envelope = {
 
 val to_json : t -> Mp_prelude.Json.t
 val of_json : Mp_prelude.Json.t -> (t, string) result
+(** Every integer a request carries (times, sizes, DAG edges, deadlines,
+    and the envelope's [id], [site], [arrival] and [budget]) must be a
+    whole JSON number in [[-2^62, 2^62)] ({!Mp_prelude.Json.to_int});
+    anything else is an [Error], never truncated.  An optional integer
+    ([budget], an explain [deadline]) may also be [null] or absent. *)
 
 val envelope_to_json : envelope -> Mp_prelude.Json.t
 val envelope_of_json : Mp_prelude.Json.t -> (envelope, string) result

@@ -734,74 +734,46 @@ let prop_bd_cpar_cpu_not_more_than_bd_all =
       total BD_CPAR <= total BD_ALL +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Speculation: lending a pool to a tightest-deadline search must not
-   change a single byte of the chosen deadline or its schedule — the
-   intra-schedule-parallelism determinism pin (see "Intra-schedule
-   speculation" in DESIGN.md). *)
+(* The tightest-deadline search contract, against a threshold oracle:
+   every deadline from [t] on is feasible.  A one-task DAG with
+   alpha = 1 makes the lower bound the task's sequential time, so [lo]
+   also takes small values, where bisection midpoints can land on the
+   bracket's doubling points. *)
 
-let with_spec jobs f =
-  Mp_prelude.Pool.with_pool ~jobs (fun p -> f (Speculate.create p))
-
-let prop_spec_deadline_equals_seq =
-  QCheck.Test.make ~name:"speculative deadline search = sequential (jobs 1,2,4)" ~count:6
-    arb_seed (fun seed ->
-      let env = busy_env seed in
-      let dag = random_dag ~n:12 (seed + 9500) in
-      List.for_all
-        (fun jobs ->
-          with_spec jobs (fun spec ->
-              List.for_all
-                (fun (a : Algo.deadline) ->
-                  (* same-spec convention: a prepared closure is driven
-                     only by searches given the spec it was prepared
-                     under *)
-                  Deadline.tightest (a.prepare env dag) env dag
-                  = Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
-                robust_deadline_algos))
-        [ 1; 2; 4 ])
-
-(* With the decision journal on, speculation stands down by itself: the
-   journal records on the domain that runs the search, so the journaled
-   story of a tightest search must be the sequential one, entry for
-   entry, even when a spec is passed. *)
-let test_spec_journal_stand_down () =
-  let module Journal = Mp_forensics.Journal in
-  let env = busy_env 5 in
-  let dag = random_dag ~n:12 5005 in
-  with_spec 4 (fun spec ->
-      let held, _ = Journal.record (fun () -> Speculate.acquire (Some spec)) in
-      Alcotest.(check bool) "acquire stands down under the journal" true (held = None);
-      let a = List.hd robust_deadline_algos in
-      let seq_d, seq_entries =
-        Journal.record (fun () -> Deadline.tightest (a.prepare env dag) env dag)
+let prop_tightest_threshold =
+  let gen =
+    QCheck.Gen.(
+      let* seq = oneof [ 1 -- 8; 1 -- 3000 ] in
+      let* resolution = oneof [ 1 -- 3; 1 -- 200 ] in
+      let* t =
+        oneof
+          [
+            1 -- (4 * seq);
+            (let* k = 0 -- 22 and* d = -2 * resolution -- (2 * resolution) in
+             return (max 1 ((seq lsl k) + d)));
+            1 -- (seq lsl 22);
+          ]
       in
-      let spec_d, spec_entries =
-        Journal.record (fun () -> Deadline.tightest ~spec (a.prepare ~spec env dag) env dag)
+      return (seq, resolution, t))
+  in
+  QCheck.Test.make ~name:"tightest meets a threshold to its resolution" ~count:500
+    (QCheck.make ~print:QCheck.Print.(triple int int int) gen)
+    (fun (seq, resolution, t) ->
+      let dag = Dag.make [| Task.make ~id:0 ~seq:(float_of_int seq) ~alpha:1. |] [] in
+      let env = Env.make ~calendar:(Calendar.create ~procs:8) ~q:8. in
+      let lo = max 1 (Deadline.lower_bound env dag) in
+      let asked = Hashtbl.create 64 and repeated = ref false in
+      let oracle ~deadline =
+        if Hashtbl.mem asked deadline then repeated := true;
+        Hashtbl.replace asked deadline ();
+        if deadline >= t then Some { Schedule.slots = [||] } else None
       in
-      Alcotest.(check bool) "journaled tightest identical" true (seq_d = spec_d);
-      Alcotest.(check bool) "journal not empty" true (seq_entries <> []);
-      Alcotest.(check int)
-        "tightest journal length identical" (List.length seq_entries)
-        (List.length spec_entries);
-      Alcotest.(check bool) "tightest journal identical" true (seq_entries = spec_entries))
-
-(* The busy flag: a nested acquire while a search holds the pool must
-   refuse, and release must restore it. *)
-let test_spec_busy_flag () =
-  with_spec 4 (fun spec ->
-      match Speculate.acquire (Some spec) with
-      | None -> Alcotest.fail "outermost acquire refused"
-      | Some held ->
-          Alcotest.(check bool) "nested acquire refused" true
-            (Speculate.acquire (Some spec) = None);
-          Speculate.release held;
-          (match Speculate.acquire (Some spec) with
-          | None -> Alcotest.fail "acquire after release refused"
-          | Some again -> Speculate.release again);
-          Alcotest.(check bool) "acquire None" true (Speculate.acquire None = None));
-  (* a sequential pool has nothing to lend *)
-  with_spec 1 (fun spec ->
-      Alcotest.(check bool) "jobs=1 stands down" true (Speculate.acquire (Some spec) = None))
+      let answer = Option.map fst (Deadline.tightest ~resolution oracle env dag) in
+      (not !repeated)
+      &&
+      if t <= lo then answer = Some lo
+      else if t > lo lsl 21 then answer = None
+      else match answer with Some k -> t <= k && k < t + resolution | None -> false)
 
 let () =
   let props =
@@ -815,7 +787,7 @@ let () =
         prop_prepared_equals_direct;
         prop_hetero_valid_on_random_grids;
         prop_bd_cpar_cpu_not_more_than_bd_all;
-        prop_spec_deadline_equals_seq;
+        prop_tightest_threshold;
       ]
   in
   Alcotest.run "core"
@@ -892,12 +864,6 @@ let () =
           Alcotest.test_case "no events = frozen" `Quick test_online_no_events_is_ressched;
           Alcotest.test_case "valid with events" `Quick test_online_with_events_valid;
           Alcotest.test_case "interference hurts" `Quick test_online_interference_hurts;
-        ] );
-      ( "speculate",
-        [
-          Alcotest.test_case "journal stands speculation down" `Quick
-            test_spec_journal_stand_down;
-          Alcotest.test_case "busy flag admits one search" `Quick test_spec_busy_flag;
         ] );
       ("properties", props);
     ]

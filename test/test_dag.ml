@@ -50,7 +50,25 @@ let test_task_invalid () =
   Alcotest.check_raises "seq <= 0" (Invalid_argument "Task.make: seq <= 0") (fun () ->
       ignore (Task.make ~id:0 ~seq:0. ~alpha:0.5));
   Alcotest.check_raises "alpha > 1" (Invalid_argument "Task.make: alpha not in [0,1]") (fun () ->
-      ignore (Task.make ~id:0 ~seq:1. ~alpha:1.5))
+      ignore (Task.make ~id:0 ~seq:1. ~alpha:1.5));
+  (* NaN slips past ordered comparisons, and [exec_time] would turn NaN,
+     infinities and huge times into 1-second tasks *)
+  List.iter
+    (fun (name, seq, msg) ->
+      Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+          ignore (Task.make ~id:0 ~seq ~alpha:0.1)))
+    [
+      ("seq NaN", Float.nan, "Task.make: seq is NaN or infinite");
+      ("seq inf", Float.infinity, "Task.make: seq is NaN or infinite");
+      ("seq -inf", Float.neg_infinity, "Task.make: seq is NaN or infinite");
+      ("seq -1e300", -1e300, "Task.make: seq <= 0");
+      ("seq 2^53", 0x1p53, "Task.make: seq >= 2^53 s");
+      ("seq 1e300", 1e300, "Task.make: seq >= 2^53 s");
+    ];
+  Alcotest.check_raises "alpha NaN" (Invalid_argument "Task.make: alpha is NaN") (fun () ->
+      ignore (Task.make ~id:0 ~seq:100. ~alpha:Float.nan));
+  let t = Task.make ~id:0 ~seq:(Float.pred 0x1p53) ~alpha:1. in
+  Alcotest.(check int) "largest seq is exact" ((1 lsl 53) - 1) (Task.exec_time t 1)
 
 let test_task_min_one_second () =
   let t = Task.make ~id:0 ~seq:0.5 ~alpha:0. in

@@ -432,6 +432,17 @@ let test_dag_io_errors () =
   (match Dag_io.of_string "task 0 10 0.1\ntask 2 10 0.1\nedge 0 2" with
   | Ok _ -> Alcotest.fail "gap in ids accepted"
   | Error _ -> ());
+  List.iter
+    (fun (name, text) ->
+      match Dag_io.of_string text with
+      | Ok _ -> Alcotest.failf "%s accepted" name
+      | Error msg -> Alcotest.(check bool) (name ^ " names Task.make") true (contains msg "Task.make"))
+    [
+      ("NaN seq", "task 0 nan 0.1\ntask 1 10 0.1\nedge 0 1");
+      ("huge seq", "task 0 10 0.1\ntask 1 1e300 0.1\nedge 0 1");
+      ("infinite seq", "task 0 inf 0.5");
+      ("NaN alpha", "task 0 100 nan");
+    ];
   match Dag_io.of_string "" with
   | Ok _ -> Alcotest.fail "empty file accepted"
   | Error _ -> ()
@@ -475,7 +486,15 @@ let test_cli_unreadable_inputs () =
   check_cli_error "schedule --swf" (run_cli "schedule -n 8 --swf /nonexistent.swf");
   let malformed = in_tmp "cli_malformed.dag" in
   Out_channel.with_open_text malformed (fun oc -> Out_channel.output_string oc "task 0 x y\n");
-  check_cli_error "malformed dag" (run_cli ("explain -n 8 --dag " ^ malformed))
+  check_cli_error "malformed dag" (run_cli ("explain -n 8 --dag " ^ malformed));
+  let hostile = in_tmp "cli_hostile.dag" in
+  Out_channel.with_open_text hostile (fun oc ->
+      Out_channel.output_string oc
+        "task 0 nan 0.1\ntask 1 1e300 0.1\ntask 2 100 nan\nedge 0 1\nedge 1 2\n");
+  check_cli_error "schedule non-finite dag" (run_cli ("schedule --dag " ^ hostile));
+  let infinite = in_tmp "cli_infinite.dag" in
+  Out_channel.with_open_text infinite (fun oc -> Out_channel.output_string oc "task 0 10 0.1\ntask 1 inf 0.5\nedge 0 1\n");
+  check_cli_error "deadline infinite dag" (run_cli ("deadline --dag " ^ infinite))
 
 let test_cli_explain_formats () =
   let dag_file = in_tmp "cli_roundtrip.dag" in

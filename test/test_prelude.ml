@@ -194,7 +194,6 @@ let test_pool_more_workers_than_items () =
 
 let test_pool_reuse () =
   Pool.with_pool ~jobs:3 (fun p ->
-      Alcotest.(check int) "jobs" 3 (Pool.jobs p);
       Alcotest.(check (list int)) "first batch" [ 1; 2; 3 ] (Pool.map p succ [ 0; 1; 2 ]);
       Alcotest.(check (list string)) "second batch, other type" [ "0"; "1" ]
         (Pool.map p string_of_int [ 0; 1 ]))
@@ -249,36 +248,6 @@ let test_pool_reentrant_map () =
             [ 1; 2 ] (Pool.map p succ [ 0; 1 ])))
     [ 1; 2; 4 ]
 
-let test_pool_first_some_basic () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check (option (pair int int)))
-        "smallest index wins"
-        (Some (1, 10))
-        (Pool.first_some p
-           [| (fun () -> None); (fun () -> Some 10); (fun () -> Some 20) |]);
-      Alcotest.(check (option (pair int int)))
-        "all None" None
-        (Pool.first_some p (Array.make 5 (fun () -> None)));
-      Alcotest.(check (option (pair int int)))
-        "empty wave" None (Pool.first_some p [||]);
-      Alcotest.(check (option (pair int int)))
-        "index 0" (Some (0, 7))
-        (Pool.first_some p [| (fun () -> Some 7); (fun () -> Some 8) |]))
-
-let test_pool_first_some_exceptions () =
-  Pool.with_pool ~jobs:4 (fun p ->
-      (* an exception before the first success propagates, as in the
-         sequential scan... *)
-      Alcotest.check_raises "failure before success" (Failure "boom") (fun () ->
-          ignore
-            (Pool.first_some p [| (fun () -> None); (fun () -> failwith "boom"); (fun () -> Some 1) |]));
-      (* ...but one after it is unobservable: the sequential scan would
-         have stopped at the success *)
-      Alcotest.(check (option (pair int int)))
-        "failure after success is masked"
-        (Some (0, 3))
-        (Pool.first_some p [| (fun () -> Some 3); (fun () -> failwith "late") |]))
-
 let prop_pool_run_is_map =
   QCheck.Test.make ~name:"Pool.run = List.map for any jobs" ~count:50
     QCheck.(pair (int_range 1 8) (small_list small_int))
@@ -314,31 +283,30 @@ let prop_pool_steal_exceptions =
       let outcome run = match run () with v -> Ok v | exception Failure m -> Error m in
       outcome (fun () -> Pool.run ~jobs f items) = outcome (fun () -> List.map f items))
 
-(* first_some against the literal sequential scan it promises to match:
-   same winner, same None, and the same exception when one fires before
-   the first success. *)
-let prop_pool_first_some_matches_scan =
-  (* each cell: (verdict, cost, raise?) *)
-  let cell = QCheck.(triple (option small_int) uneven_cost bool) in
-  QCheck.Test.make ~name:"first_some = sequential scan" ~count:30
-    QCheck.(pair (oneofl [ 1; 2; 4 ]) (small_list cell))
-    (fun (jobs, cells) ->
-      let thunk (verdict, cost, fail) () =
-        ignore (spin cost);
-        if fail then failwith "cell" else verdict
-      in
-      let thunks = Array.of_list (List.map thunk cells) in
-      let sequential () =
-        let n = Array.length thunks in
-        let rec scan i =
-          if i >= n then None
-          else match thunks.(i) () with Some v -> Some (i, v) | None -> scan (i + 1)
-        in
-        scan 0
-      in
-      let outcome run = match run () with v -> Ok v | exception Failure m -> Error m in
-      Pool.with_pool ~jobs (fun p ->
-          outcome (fun () -> Pool.first_some p thunks) = outcome sequential))
+(* ------------------------------------------------------------------ *)
+(* Json *)
+
+let test_json_to_int () =
+  let check name expected v = Alcotest.(check (option int)) name expected (Json.to_int v) in
+  check "integral" (Some 42) (Json.Num 42.);
+  check "negative" (Some (-7)) (Json.Num (-7.));
+  check "lowest" (Some min_int) (Json.Num (-0x1p62));
+  check "highest" (Some ((1 lsl 62) - 512)) (Json.Num (Float.pred 0x1p62));
+  check "fraction" None (Json.Num 10.9);
+  check "half" None (Json.Num (-0.5));
+  check "2^62" None (Json.Num 0x1p62);
+  check "huge" None (Json.Num 1e300);
+  check "below range" None (Json.Num (-1e300));
+  check "infinity" None (Json.Num Float.infinity);
+  check "nan" None (Json.Num Float.nan);
+  check "string" None (Json.Str "1");
+  check "null" None Json.Null;
+  match Json.of_string {|{"a":3,"b":2.5,"c":1e300}|} with
+  | Error msg -> Alcotest.fail msg
+  | Ok j ->
+      Alcotest.(check (option int)) "field" (Some 3) (Json.int_ j "a");
+      Alcotest.(check (option int)) "fractional field" None (Json.int_ j "b");
+      Alcotest.(check (option int)) "huge field" None (Json.int_ j "c")
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -375,7 +343,7 @@ let prop_rng_int_in_range =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest
-      [ prop_percentile_monotone; prop_mean_between_min_max; prop_correlation_bounded; prop_rng_int_in_range; prop_pool_run_is_map; prop_pool_steal_uneven; prop_pool_steal_exceptions; prop_pool_first_some_matches_scan ]
+      [ prop_percentile_monotone; prop_mean_between_min_max; prop_correlation_bounded; prop_rng_int_in_range; prop_pool_run_is_map; prop_pool_steal_uneven; prop_pool_steal_exceptions ]
   in
   Alcotest.run "prelude"
     [
@@ -406,9 +374,8 @@ let () =
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
           Alcotest.test_case "uniform errors across jobs" `Quick test_pool_uniform_errors;
           Alcotest.test_case "re-entrant map rejected" `Quick test_pool_reentrant_map;
-          Alcotest.test_case "first_some selection" `Quick test_pool_first_some_basic;
-          Alcotest.test_case "first_some exceptions" `Quick test_pool_first_some_exceptions;
         ] );
+      ("json", [ Alcotest.test_case "to_int" `Quick test_json_to_int ]);
       ( "stats",
         [
           Alcotest.test_case "mean" `Quick test_mean;

@@ -481,6 +481,54 @@ let prop_envelope_roundtrip =
       | Ok e' -> Request.envelope_to_string e' = Request.envelope_to_string e
       | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
 
+(* Hostile request lines.  Every integer a request carries goes through
+   [Json.to_int], so a fraction or a number past the range of [int] is
+   refused with an error naming the field, never truncated or wrapped;
+   a task time the scheduler cannot represent is refused by
+   [Task.make]. *)
+let envelope_line ?(fields = {|"id":1,"site":0,"arrival":0|}) payload =
+  Printf.sprintf {|{%s,"payload":%s}|} fields payload
+
+let submit_line ?(deadline = "null") ?(tasks = "[[100,0.1],[200,0.1]]") ?(edges = "[[0,1]]") () =
+  envelope_line
+    (Printf.sprintf {|{"request":"submit_dag","algo":"DL_BD_CPA","deadline":%s,"dag":{"tasks":%s,"edges":%s}}|}
+       deadline tasks edges)
+
+let check_rejected line needle () =
+  match Request.envelope_of_string line with
+  | Ok _ -> Alcotest.failf "accepted: %s" line
+  | Error msg ->
+      if not (contains msg needle) then Alcotest.failf "error %S does not mention %S" msg needle
+
+let hostile_requests =
+  [
+    ( "fractional reserve",
+      envelope_line {|{"request":"reserve","start":10.9,"dur":5.5,"procs":2.7}|},
+      {|"start"|} );
+    ( "start past int",
+      envelope_line {|{"request":"reserve","start":1e300,"dur":5,"procs":2}|},
+      {|"start"|} );
+    ( "fractional envelope",
+      envelope_line ~fields:{|"id":1,"site":0.5,"arrival":1.5,"budget":2.5|}
+        {|{"request":"stats","last":4}|},
+      {|"site"|} );
+    ( "fractional budget",
+      envelope_line ~fields:{|"id":1,"site":0,"arrival":0,"budget":2.5|}
+        {|{"request":"stats","last":4}|},
+      {|"budget"|} );
+    ( "string budget",
+      envelope_line ~fields:{|"id":1,"site":0,"arrival":0,"budget":"soon"|}
+        {|{"request":"stats","last":4}|},
+      {|"budget"|} );
+    ( "string explain deadline",
+      envelope_line
+        {|{"request":"explain","algo":"DL_BD_CPA","deadline":"soon","format":"text","dag":{"tasks":[[100,0.1]],"edges":[]}}|},
+      {|"deadline"|} );
+    ("fractional deadline", submit_line ~deadline:"3600.5" (), "deadline");
+    ("fractional edge", submit_line ~edges:"[[0,1.5]]" (), "edge");
+    ("huge task time", submit_line ~tasks:"[[1e300,0.1]]" ~edges:"[]" (), "Task.make");
+  ]
+
 let gen_digest =
   QCheck.Gen.(
     map
@@ -757,6 +805,11 @@ let () =
             test_dag_heavy_jobs_invariant;
         ] );
       ("stream", [ Alcotest.test_case "deterministic" `Quick test_stream_deterministic ]);
+      ( "hostile",
+        List.map
+          (fun (name, line, needle) ->
+            Alcotest.test_case name `Quick (check_rejected line needle))
+          hostile_requests );
       ("properties", props);
       ("cli", [ Alcotest.test_case "serve dump/replay" `Quick test_serve_cli_roundtrip ]);
     ]
