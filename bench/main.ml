@@ -500,12 +500,12 @@ let bench_index () =
             let fit_pct = 100. *. float_of_int !fits /. float_of_int (2 * n_queries) in
             Printf.printf "  %10d %12d %8.2f %11.1f %11.1f %12.0f %7.1f%%\n%!" !kept bps
               build_s vpr vpq qps fit_pct;
-            (r_target, !kept, bps, vpq, qps)))
+            (r_target, !kept, bps, vpr, vpq, qps)))
       index_rungs
   in
   set_metrics
     (List.concat_map
-       (fun (r_target, _, bps, vpq, qps) ->
+       (fun (r_target, _, bps, _, vpq, qps) ->
          [
            (Printf.sprintf "r%d_breakpoints" r_target, float_of_int bps);
            (Printf.sprintf "r%d_visits_per_query" r_target, vpq);
@@ -514,22 +514,30 @@ let bench_index () =
        rows);
   (* The log-R pin.  Per rung: visits/query within a constant factor of
      log2(breakpoints) — a linear walk would exceed this a thousandfold
-     at the top rungs.  Across the ladder: visits may grow at most like
-     the log of the size ratio (with 2x headroom), never like the size
-     ratio itself. *)
+     at the top rungs — and visits/reserve within about three paths, the
+     cost of one capacity descent plus one update descent.  Across the
+     ladder: visits may grow at most like the log of the size ratio
+     (with 2x headroom), never like the size ratio itself. *)
   if index_assert then begin
     let fail = ref false in
     List.iter
-      (fun (r_target, _, bps, vpq, _) ->
+      (fun (r_target, _, bps, vpr, vpq, _) ->
         let bound = (8. *. log2f bps) +. 64. in
         if vpq > bound then begin
           Printf.eprintf "FAIL index ladder r=%d: visits/query %.1f > bound %.1f (log R ~ %.1f)\n%!"
             r_target vpq bound (log2f bps);
           fail := true
+        end;
+        let reserve_bound = (3. *. log2f bps) +. 16. in
+        if vpr > reserve_bound then begin
+          Printf.eprintf
+            "FAIL index ladder r=%d: visits/reserve %.1f > bound %.1f (log R ~ %.1f)\n%!"
+            r_target vpr reserve_bound (log2f bps);
+          fail := true
         end)
       rows;
     (match (rows, List.rev rows) with
-    | (r0, _, b0, v0, _) :: _, (r1, _, b1, v1, _) :: _ when r0 <> r1 && v0 > 0. ->
+    | (r0, _, b0, _, v0, _) :: _, (r1, _, b1, _, v1, _) :: _ when r0 <> r1 && v0 > 0. ->
         let growth = v1 /. v0 and log_growth = log2f b1 /. log2f b0 in
         let bound = 2. *. log_growth in
         if growth > bound then begin
@@ -541,7 +549,7 @@ let bench_index () =
         end
     | _ -> ());
     if !fail then exit 1;
-    Printf.printf "  log-R visit bound holds over the ladder (MPRES_INDEX_ASSERT)\n%!"
+    Printf.printf "  log-R visit bounds hold over the ladder (MPRES_INDEX_ASSERT)\n%!"
   end
 
 let write_core_json total_s =

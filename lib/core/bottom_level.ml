@@ -1,6 +1,5 @@
 module Dag = Mp_dag.Dag
 module Task = Mp_dag.Task
-module Analysis = Mp_dag.Analysis
 module Allocation = Mp_cpa.Allocation
 module Mapping = Mp_cpa.Mapping
 
@@ -9,12 +8,11 @@ type method_ = BL_1 | BL_ALL | BL_CPA | BL_CPAR
 let all = [ BL_1; BL_ALL; BL_CPA; BL_CPAR ]
 let name = function BL_1 -> "BL_1" | BL_ALL -> "BL_ALL" | BL_CPA -> "BL_CPA" | BL_CPAR -> "BL_CPAR"
 
-let weights m (env : Env.t) dag =
+let weights ~cpa m (env : Env.t) dag =
   match m with
   | BL_1 -> Array.map (fun tk -> Task.exec_time_f tk 1) (Dag.tasks dag)
   | BL_ALL -> Array.map (fun tk -> Task.exec_time_f tk env.p) (Dag.tasks dag)
-  | BL_CPA -> Allocation.weights dag ~allocs:(Allocation.allocate ~p:env.p dag)
-  | BL_CPAR -> Allocation.weights dag ~allocs:(Allocation.allocate ~p:env.q dag)
+  | BL_CPA -> Allocation.weights dag ~allocs:(cpa env.p)
+  | BL_CPAR -> Allocation.weights dag ~allocs:(cpa env.q)
 
-let levels m env dag = Analysis.bottom_levels dag ~weights:(weights m env dag)
-let order m env dag = Mapping.bl_order dag ~weights:(weights m env dag)
+let order ~cpa m env dag = Mapping.bl_order dag ~weights:(weights ~cpa m env dag)

@@ -18,12 +18,12 @@ type method_ = BL_1 | BL_ALL | BL_CPA | BL_CPAR
 val all : method_ list
 val name : method_ -> string
 
-val weights : method_ -> Env.t -> Mp_dag.Dag.t -> float array
-(** Per-task execution-time weights under the method's allocation. *)
+val weights : cpa:(int -> int array) -> method_ -> Env.t -> Mp_dag.Dag.t -> float array
+(** Per-task execution-time weights under the method's allocation.
+    [cpa p] is the DAG's CPA allocation for [p] processors: pass the
+    {!Mp_cpa.Allocation.per_procs} table the bounds use too, so the
+    allocation runs once. *)
 
-val levels : method_ -> Env.t -> Mp_dag.Dag.t -> float array
-(** Bottom levels under those weights. *)
-
-val order : method_ -> Env.t -> Mp_dag.Dag.t -> int array
+val order : cpa:(int -> int array) -> method_ -> Env.t -> Mp_dag.Dag.t -> int array
 (** Tasks by decreasing bottom level — the RESSCHED scheduling order, and
     (reversed) the RESSCHEDDL one.  A valid topological order. *)

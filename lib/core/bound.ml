@@ -1,5 +1,4 @@
 module Dag = Mp_dag.Dag
-module Allocation = Mp_cpa.Allocation
 
 type method_ = BD_ONE | BD_ALL | BD_HALF | BD_CPA | BD_CPAR | BD_ICASLB | BD_ICASLBR
 
@@ -15,12 +14,12 @@ let name = function
   | BD_ICASLB -> "BD_ICASLB"
   | BD_ICASLBR -> "BD_ICASLBR"
 
-let bounds m (env : Env.t) dag =
+let bounds ~cpa m (env : Env.t) dag =
   match m with
   | BD_ONE -> Array.make (Dag.n dag) 1
   | BD_ALL -> Array.make (Dag.n dag) env.p
   | BD_HALF -> Array.make (Dag.n dag) (max 1 (env.p / 2))
-  | BD_CPA -> Allocation.allocate ~p:env.p dag
-  | BD_CPAR -> Allocation.allocate ~p:env.q dag
+  | BD_CPA -> cpa env.p
+  | BD_CPAR -> cpa env.q
   | BD_ICASLB -> fst (Mp_cpa.Icaslb.allocate_and_schedule ~p:env.p dag)
   | BD_ICASLBR -> fst (Mp_cpa.Icaslb.allocate_and_schedule ~p:env.q dag)

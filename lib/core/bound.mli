@@ -38,5 +38,7 @@ val extended : method_ list
 
 val name : method_ -> string
 
-val bounds : method_ -> Env.t -> Mp_dag.Dag.t -> int array
-(** Per-task allocation upper bounds, each in [\[1, p\]]. *)
+val bounds : cpa:(int -> int array) -> method_ -> Env.t -> Mp_dag.Dag.t -> int array
+(** Per-task allocation upper bounds, each in [\[1, p\]].  [cpa] is as
+    for {!Bottom_level.weights}; the CPA-based bounds return its array
+    itself, which callers must not mutate. *)

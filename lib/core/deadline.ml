@@ -54,7 +54,7 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
              the extra work is placement-identical by the same argument. *)
           let earliest =
             if journal then 0
-            else match best with None -> 0 | Some (bs, _, _) -> max 0 bs
+            else match best with None -> 0 | Some (bs, _, _) -> Int.max 0 bs
           in
           match Calendar.Txn.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
           | None ->
@@ -80,7 +80,7 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
    still finishing by [dl].  [jctx] carries (reference, lambda) for the
    decision journal only — never consulted by the placement itself. *)
 let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) =
-  let threshold = max 0 threshold in
+  let threshold = Int.max 0 threshold in
   let nps = cands.Task.nps and durs = cands.Task.durs in
   let n_cands = Array.length nps in
   let journal = Mp_forensics.Journal.enabled () in
@@ -143,7 +143,7 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
     else begin
       let i = order.(k) in
       let dl =
-        Array.fold_left (fun acc j -> min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
+        Array.fold_left (fun acc j -> Int.min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
       in
       Mp_obs.Span.enter sp_place;
       let slot = place cal ~k ~i ~dl in
@@ -163,7 +163,9 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
    bounds and reference schedules) only depends on (env, dag), never on
    the deadline; the *_prepared variants compute it once so that deadline
    sweeps — the λ search and the tightest-deadline binary search — pay for
-   it once instead of per probe. *)
+   it once instead of per probe.  Within one prepare, order, bounds,
+   reference and fallback share one {!Allocation.per_procs} table, so
+   each processor count's CPA allocation runs once. *)
 
 (* One candidate table per task, computed when the prepared closure is
    built and shared by every deadline probe (and every placement of every
@@ -172,14 +174,15 @@ let candidate_tables dag ~bound_of =
   Array.init (Dag.n dag) (fun i -> Task.candidates (Dag.task dag i) ~max_np:(bound_of i))
 
 let aggressive_prepared algo (env : Env.t) dag =
-  let order = Bottom_level.order Bottom_level.BL_CPAR env dag in
+  let cpa = Allocation.per_procs dag in
+  let order = Bottom_level.order ~cpa Bottom_level.BL_CPAR env dag in
   let bounds =
     match algo with
     | DL_BD_ALL -> Array.make (Dag.n dag) env.p
-    | DL_BD_CPA -> Allocation.allocate ~p:env.p dag
-    | DL_BD_CPAR -> Allocation.allocate ~p:env.q dag
+    | DL_BD_CPA -> cpa env.p
+    | DL_BD_CPAR -> cpa env.q
   in
-  let cands = candidate_tables dag ~bound_of:(fun i -> max 1 bounds.(i)) in
+  let cands = candidate_tables dag ~bound_of:(fun i -> Int.max 1 bounds.(i)) in
   fun ~deadline ->
     backward ~order env dag ~deadline ~place:(fun cal ~k:_ ~i ~dl ->
         place_latest cal (Dag.task dag i) ~dl ~cands:cands.(i))
@@ -187,9 +190,10 @@ let aggressive_prepared algo (env : Env.t) dag =
 let aggressive algo env dag ~deadline = aggressive_prepared algo env dag ~deadline
 
 let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
-  let order = Bottom_level.order Bottom_level.BL_CPAR env dag in
+  let cpa = Allocation.per_procs dag in
+  let order = Bottom_level.order ~cpa Bottom_level.BL_CPAR env dag in
   let ref_q = match algo with DL_RC_CPA -> env.p | DL_RC_CPAR -> env.q in
-  let ref_allocs = Allocation.allocate ~p:ref_q dag in
+  let ref_allocs = cpa ref_q in
   (* All probes of a λ-sweep / tightest search place tasks in the same
      backward order, so the reference starts they consult are the same
      order-prefix schedules: memoize them across probes. *)
@@ -197,8 +201,8 @@ let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
   let cons_cands = candidate_tables dag ~bound_of:(fun _ -> env.p) in
   let fb_cands =
     if bounded_fallback then begin
-      let fallback_bounds = Allocation.allocate ~p:env.q dag in
-      candidate_tables dag ~bound_of:(fun i -> max 1 fallback_bounds.(i))
+      let fallback_bounds = cpa env.q in
+      candidate_tables dag ~bound_of:(fun i -> Int.max 1 fallback_bounds.(i))
     end
     else cons_cands
   in
@@ -251,7 +255,7 @@ let bracket_attempts = 22
 
 let tightest ?(resolution = 60) ?spec:_ algo env dag =
   if resolution < 1 then invalid_arg "Deadline.tightest: resolution < 1";
-  let lo = max 1 (lower_bound env dag) in
+  let lo = Int.max 1 (lower_bound env dag) in
   let probe ~deadline =
     Mp_obs.Counter.incr c_probes;
     algo ~deadline

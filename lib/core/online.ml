@@ -8,8 +8,9 @@ let c_granted = Mp_obs.Counter.make "online.reservations_granted"
 
 let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) (env : Env.t) ~events dag =
   Mp_obs.Span.wrap sp_schedule @@ fun () ->
-  let order = Bottom_level.order bl env dag in
-  let bounds = Bound.bounds bd env dag in
+  let cpa = Mp_cpa.Allocation.per_procs dag in
+  let order = Bottom_level.order ~cpa bl env dag in
+  let bounds = Bound.bounds ~cpa bd env dag in
   let cands =
     Array.init (Dag.n dag) (fun i ->
         Mp_dag.Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)))

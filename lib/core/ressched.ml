@@ -91,17 +91,20 @@ let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) (env 
   if now < 0 then invalid_arg "Ressched.schedule: now < 0";
   Mp_obs.Span.wrap sp_schedule @@ fun () ->
   let nb = Dag.n dag in
-  let order = Bottom_level.order bl env dag in
-  let bounds = Bound.bounds bd env dag in
+  (* The default BL_CPAR + BD_CPAR orders and bounds by the same
+     allocation: run CPA once per processor count. *)
+  let cpa = Mp_cpa.Allocation.per_procs dag in
+  let order = Bottom_level.order ~cpa bl env dag in
+  let bounds = Bound.bounds ~cpa bd env dag in
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
   (* Linear place-then-reserve loop: run on a mutable transaction. *)
   let cal = Calendar.Txn.start env.calendar in
   Array.iter
     (fun i ->
       let ready =
-        Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
+        Array.fold_left (fun acc j -> Int.max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
       in
-      let cands = Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)) in
+      let cands = Task.candidates (Dag.task dag i) ~max_np:(Int.max 1 bounds.(i)) in
       let s, fin, np = place_cands_txn cal (Dag.task dag i) ~ready ~cands in
       Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
       slots.(i) <- { start = s; finish = fin; procs = np })

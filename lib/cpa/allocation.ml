@@ -15,6 +15,14 @@ let weights dag ~allocs =
    burning processors on an Amdahl plateau. *)
 let min_gain = 1e-4
 
+(* Each iteration grows exactly one allocation by 1 from the all-ones
+   start, so the iteration count is recoverable from the total. *)
+let journal_alloc ~p allocs =
+  if Mp_forensics.Journal.enabled () then begin
+    let n_tasks = Array.length allocs and total_alloc = Array.fold_left ( + ) 0 allocs in
+    Mp_forensics.Journal.cpa_alloc ~p ~iterations:(total_alloc - n_tasks) ~n_tasks ~total_alloc
+  end
+
 let allocate ?(criterion = Improved) ~p dag =
   if p < 1 then invalid_arg "Allocation.allocate: p < 1";
   Mp_obs.Counter.incr c_calls;
@@ -27,7 +35,7 @@ let allocate ?(criterion = Improved) ~p dag =
     | Improved ->
         let lev = Analysis.levels dag in
         let widths = Analysis.level_widths dag in
-        Array.init nb (fun i -> max 1 ((p + widths.(lev.(i)) - 1) / widths.(lev.(i))))
+        Array.init nb (fun i -> Int.max 1 ((p + widths.(lev.(i)) - 1) / widths.(lev.(i))))
   in
   let tasks = Dag.tasks dag in
   let w = weights dag ~allocs in
@@ -132,10 +140,20 @@ let allocate ?(criterion = Improved) ~p dag =
   in
   loop ();
   Mp_obs.Timer.stop t_allocate obs_t0;
-  if Mp_forensics.Journal.enabled () then begin
-    (* Each iteration grows exactly one allocation by 1 from the all-ones
-       start, so the iteration count is recoverable from the total. *)
-    let total_alloc = Array.fold_left ( + ) 0 allocs in
-    Mp_forensics.Journal.cpa_alloc ~p ~iterations:(total_alloc - nb) ~n_tasks:nb ~total_alloc
-  end;
+  journal_alloc ~p allocs;
   allocs
+
+(* A reused allocation is journaled again, so the decision journal (and
+   every explain report built from it) reads exactly as when each
+   consumer ran its own. *)
+let per_procs dag =
+  let known = ref [] in
+  fun p ->
+    match List.assoc_opt p !known with
+    | Some allocs ->
+        journal_alloc ~p allocs;
+        allocs
+    | None ->
+        let allocs = allocate ~p dag in
+        known := (p, allocs) :: !known;
+        allocs

@@ -22,6 +22,18 @@ val allocate : ?criterion:criterion -> p:int -> Mp_dag.Dag.t -> int array
     [\[1, p\]].  Default criterion is [Improved] (the paper's CPA).
     Raises [Invalid_argument] if [p < 1]. *)
 
+val per_procs : Mp_dag.Dag.t -> int -> int array
+(** [per_procs dag] is [fun p -> allocate ~p dag] that runs {!allocate}
+    once per distinct [p] and hands back the same array afterwards.  A
+    scheduler that needs one allocation as its order's weights, its
+    bounds and its reference makes one per schedule (or prepared
+    closure) and passes it along, so each allocation runs once; the
+    table lives as long as that closure.  The ["cpa.allocate.*"]
+    counters count the allocations run, while the decision journal
+    still records a [cpa_alloc] per request, so explain reports are the
+    same as when every consumer ran its own.  Callers must not mutate
+    the arrays. *)
+
 val weights : Mp_dag.Dag.t -> allocs:int array -> float array
 (** Execution-time weights (un-rounded) induced by an allocation; the
     input to bottom-level computations. *)

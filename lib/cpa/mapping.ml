@@ -32,7 +32,7 @@ let map dag ~allocs ~p =
   Array.iter
     (fun i ->
       let ready =
-        Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
+        Array.fold_left (fun acc j -> Int.max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
       in
       let np = allocs.(i) in
       let dur = Task.exec_time (Dag.task dag i) np in
@@ -46,7 +46,7 @@ let map dag ~allocs ~p =
   Mp_obs.Timer.stop t_map obs_t0;
   if Mp_forensics.Journal.enabled () then begin
     let makespan =
-      Array.fold_left (fun acc (s : Schedule.slot) -> max acc s.finish) 0 slots
+      Array.fold_left (fun acc (s : Schedule.slot) -> Int.max acc s.finish) 0 slots
     in
     Mp_forensics.Journal.cpa_map ~p ~n_tasks:(Dag.n dag) ~makespan
   end;
@@ -57,7 +57,7 @@ let map_subset0 dag ~allocs ~p ~keep =
   | None -> None
   | Some (sub, mapping) ->
       let sub_allocs =
-        Array.map (fun old_i -> if old_i >= 0 then min p allocs.(old_i) else 1) mapping
+        Array.map (fun old_i -> if old_i >= 0 then Int.min p allocs.(old_i) else 1) mapping
       in
       let sched = map sub ~allocs:sub_allocs ~p in
       let starts = Array.make (Dag.n dag) (-1) in

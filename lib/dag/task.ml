@@ -14,7 +14,7 @@ let exec_time_f t np =
   if np < 1 then invalid_arg "Task.exec_time: np < 1";
   t.seq *. (t.alpha +. ((1. -. t.alpha) /. float_of_int np))
 
-let exec_time t np = max 1 (int_of_float (ceil (exec_time_f t np)))
+let exec_time t np = Int.max 1 (int_of_float (ceil (exec_time_f t np)))
 
 (* Processor counts skipped because their rounded duration equals a
    smaller count's (the output-preserving pruning of DESIGN.md). *)

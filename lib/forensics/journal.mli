@@ -82,8 +82,9 @@ type placement = {
 type entry =
   | Placement of placement
   | Cpa_alloc of { p : int; iterations : int; n_tasks : int; total_alloc : int }
-      (** one CPA allocation phase (bounds, bottom-level weights, reference
-          schedules) *)
+      (** the CPA allocation behind one of bounds, bottom-level weights or
+          reference schedules; one per use, also when a scheduler reuses
+          one allocation for several of them *)
   | Cpa_map of { p : int; n_tasks : int; makespan : int }
       (** one CPA mapping phase (conservative reference schedules) *)
   | Grant of { start : int; finish : int; procs : int; granted : bool }

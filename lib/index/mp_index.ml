@@ -2,12 +2,16 @@
    every node carries (a) the availability value holding from its
    breakpoint to the next one, (b) subtree (min, max) summaries of those
    values, and (c) a lazy "add" tag pending over the whole subtree
-   (including the node's own value).  Reserving subtracts over a key
-   range by path-copying the two boundary paths and tagging the fully
+   (including the node's own value).  A reserve or release is one
+   capacity descent, which reads the window's minimum or maximum, plus
+   one update descent, which path-copies the search paths of the
+   window's two ends, inserts the ends where absent and tags the fully
    covered subtrees between them.  Point and window queries and updates
    are O(log R); the fit queries are single in-order walks (forward for
    [earliest_fit], backward for [latest_fit]) that skip every subtree
-   whose summaries decide it.
+   whose summaries decide it.  Ints are compared with [Int.min]/[Int.max]
+   and int-typed operators: without flambda, [Stdlib.min]/[max] are
+   calls into the polymorphic compare.
 
    Summary convention: for a node [{ v; mn; mx; d; _ }], the value seen
    from the parent is [v + d], and the subtree extrema seen from the
@@ -53,10 +57,10 @@ let mk l key v r =
       key;
       v;
       r;
-      h = 1 + max (height l) (height r);
+      h = 1 + Int.max (height l) (height r);
       lk = (match l with Leaf -> key | Node { lk; _ } -> lk);
-      mn = min v (min (submin 0 l) (submin 0 r));
-      mx = max v (max (submax 0 l) (submax 0 r));
+      mn = Int.min v (Int.min (submin 0 l) (submin 0 r));
+      mx = Int.max v (Int.max (submax 0 l) (submax 0 r));
       d = 0;
     }
 
@@ -81,8 +85,9 @@ let push = function
           d = 0;
         }
 
-(* AVL rebalancing (Stdlib.Map-style, tolerance 2).  Children pulled
-   apart by a rotation are [push]ed first so their tags are not lost. *)
+(* AVL rebalancing (Stdlib.Map-style, tolerance 2; the two heights may
+   differ by at most 3).  Children pulled apart by a rotation are
+   [push]ed first so their tags are not lost. *)
 let bal l key v r =
   let hl = height l and hr = height r in
   if hl > hr + 2 then
@@ -116,117 +121,143 @@ let rec insert t key v =
       if key < nd.key then bal (insert nd.l key v) nd.key nd.v nd.r
       else bal nd.l nd.key nd.v (insert nd.r key v)
 
-(* Greatest breakpoint <= time, with its value.  The sentinel at
-   [min_int] guarantees a hit. *)
-let last_le root time =
-  let rec go t acc best =
+(* Value of the greatest breakpoint <= time.  The sentinel at [min_int]
+   guarantees a hit. *)
+let value_at root time =
+  let rec go t acc at =
     match t with
-    | Leaf -> best
+    | Leaf -> at
     | Node { l; key; v; r; d; _ } ->
         visit ();
         let acc = acc + d in
-        if key <= time then go r acc (key, v + acc) else go l acc best
+        if key <= time then go r acc (v + acc) else go l acc at
   in
-  go root 0 (min_int, 0)
+  go root 0 0
 
-let value_at root time = snd (last_le root time)
-
-(* Ensure a breakpoint exists at [time] (carrying the value already in
-   force there), so a later range add starts/stops exactly there.
-   Returns [root] itself when the breakpoint is already there. *)
-let cut root time =
-  if time = min_int then root
-  else
-    let k, v = last_le root time in
-    if k = time then root else insert root time v
-
-(* Window extrema over breakpoints in [lo, hi) — [max_int]/[min_int] when
-   no breakpoint falls inside.  One-sided variants use the subtree
-   summaries once the range constraint is resolved on that side. *)
-let rec min_from t acc ~lo =
+(* Window extrema over the segments meeting [lo, hi): the value in
+   force at [lo], held by the greatest key <= lo, and the value of every
+   key in (lo, hi).  One descent follows the search paths of [lo] and
+   [hi].  Above the node where they part, [at] is the value of the last
+   key <= lo passed; below it, the [lo] side ([*_lo], every key there is
+   < hi) and the [hi] side ([*_hi], every key there is > lo) each take
+   whole the subtrees hanging inside the window, and a key equal to its
+   end stops that side.  [m] is the extremum so far. *)
+let rec min_lo t acc ~lo at m =
   match t with
-  | Leaf -> max_int
+  | Leaf -> Int.min at m
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key < lo then min_from r acc ~lo
-      else min (v + acc) (min (min_from l acc ~lo) (submin acc r))
+      if key < lo then min_lo r acc ~lo (v + acc) m
+      else
+        let m = Int.min m (Int.min (v + acc) (submin acc r)) in
+        if key = lo then m else min_lo l acc ~lo at m
 
-let rec min_below t acc ~hi =
+let rec min_hi t acc ~hi m =
   match t with
-  | Leaf -> max_int
+  | Leaf -> m
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key >= hi then min_below l acc ~hi
-      else min (v + acc) (min (submin acc l) (min_below r acc ~hi))
+      if key > hi then min_hi l acc ~hi m
+      else if key = hi then Int.min m (submin acc l)
+      else min_hi r acc ~hi (Int.min m (Int.min (v + acc) (submin acc l)))
 
-let rec min_keys t acc ~lo ~hi =
+let rec window_min t acc ~lo ~hi at =
   match t with
-  | Leaf -> max_int
+  | Leaf -> at
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key < lo then min_keys r acc ~lo ~hi
-      else if key >= hi then min_keys l acc ~lo ~hi
-      else min (v + acc) (min (min_from l acc ~lo) (min_below r acc ~hi))
+      if key < lo then window_min r acc ~lo ~hi (v + acc)
+      else if key = lo then min_hi r acc ~hi (v + acc)
+      else if key > hi then window_min l acc ~lo ~hi at
+      else if key = hi then min_lo l acc ~lo at max_int
+      else min_hi r acc ~hi (min_lo l acc ~lo at (v + acc))
 
-let rec max_from t acc ~lo =
+let rec max_lo t acc ~lo at m =
   match t with
-  | Leaf -> min_int
+  | Leaf -> Int.max at m
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key < lo then max_from r acc ~lo
-      else max (v + acc) (max (max_from l acc ~lo) (submax acc r))
+      if key < lo then max_lo r acc ~lo (v + acc) m
+      else
+        let m = Int.max m (Int.max (v + acc) (submax acc r)) in
+        if key = lo then m else max_lo l acc ~lo at m
 
-let rec max_below t acc ~hi =
+let rec max_hi t acc ~hi m =
   match t with
-  | Leaf -> min_int
+  | Leaf -> m
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key >= hi then max_below l acc ~hi
-      else max (v + acc) (max (submax acc l) (max_below r acc ~hi))
+      if key > hi then max_hi l acc ~hi m
+      else if key = hi then Int.max m (submax acc l)
+      else max_hi r acc ~hi (Int.max m (Int.max (v + acc) (submax acc l)))
 
-let rec max_keys t acc ~lo ~hi =
+let rec window_max t acc ~lo ~hi at =
   match t with
-  | Leaf -> min_int
+  | Leaf -> at
   | Node { l; key; v; r; d; _ } ->
       visit ();
       let acc = acc + d in
-      if key < lo then max_keys r acc ~lo ~hi
-      else if key >= hi then max_keys l acc ~lo ~hi
-      else max (v + acc) (max (max_from l acc ~lo) (max_below r acc ~hi))
+      if key < lo then window_max r acc ~lo ~hi (v + acc)
+      else if key = lo then max_hi r acc ~hi (v + acc)
+      else if key > hi then window_max l acc ~lo ~hi at
+      else if key = hi then max_lo l acc ~lo at min_int
+      else max_hi r acc ~hi (max_lo l acc ~lo at (v + acc))
 
-(* Add [dv] to every breakpoint value in a key range.  The tree structure
-   is unchanged (no insertion, no rebalancing): the two boundary paths
-   are copied with updated aggregates and the covered subtrees hanging
-   off them are tagged. *)
-let rec add_from t ~lo dv =
+(* Add [dv] over [lo, hi) in one path-copying descent along the same
+   two search paths, inserting [lo] and [hi] where absent: [lo] takes the
+   value in force there plus [dv], [hi] the value in force there.  [at]
+   is that value, tracked as in the window walks (after [push], a node's
+   [v] is its current value).  Below the parting node the subtrees
+   hanging inside the window are tagged.  When no key lies in [lo, hi],
+   the two paths end at the same leaf: [lo] is inserted there and [hi]
+   is left to a separate {!insert}, since a two-node chain in one leaf
+   could grow a subtree by two levels, past what {!bal} repairs. *)
+type ends = { mutable added : int; mutable hi_left : bool }
+
+let rec add_lo t ~lo dv at e =
   match push t with
-  | Leaf -> Leaf
+  | Leaf ->
+      e.added <- e.added + 1;
+      mk Leaf lo (at + dv) Leaf
   | Node nd ->
       visit ();
-      if nd.key < lo then mk nd.l nd.key nd.v (add_from nd.r ~lo dv)
-      else mk (add_from nd.l ~lo dv) nd.key (nd.v + dv) (tag dv nd.r)
+      if nd.key < lo then bal nd.l nd.key nd.v (add_lo nd.r ~lo dv nd.v e)
+      else
+        let r = tag dv nd.r in
+        if nd.key = lo then mk nd.l nd.key (nd.v + dv) r
+        else bal (add_lo nd.l ~lo dv at e) nd.key (nd.v + dv) r
 
-let rec add_below t ~hi dv =
+let rec add_hi t ~hi dv at e =
   match push t with
-  | Leaf -> Leaf
+  | Leaf ->
+      e.added <- e.added + 1;
+      mk Leaf hi at Leaf
   | Node nd ->
       visit ();
-      if nd.key >= hi then mk (add_below nd.l ~hi dv) nd.key nd.v nd.r
-      else mk (tag dv nd.l) nd.key (nd.v + dv) (add_below nd.r ~hi dv)
+      if nd.key > hi then bal (add_hi nd.l ~hi dv at e) nd.key nd.v nd.r
+      else
+        let l = tag dv nd.l in
+        if nd.key = hi then mk l nd.key nd.v nd.r
+        else bal l nd.key (nd.v + dv) (add_hi nd.r ~hi dv nd.v e)
 
-let rec add_range t ~lo ~hi dv =
+let rec add_window t ~lo ~hi dv at e =
   match push t with
-  | Leaf -> Leaf
+  | Leaf ->
+      e.added <- e.added + 1;
+      e.hi_left <- true;
+      mk Leaf lo (at + dv) Leaf
   | Node nd ->
       visit ();
-      if nd.key < lo then mk nd.l nd.key nd.v (add_range nd.r ~lo ~hi dv)
-      else if nd.key >= hi then mk (add_range nd.l ~lo ~hi dv) nd.key nd.v nd.r
-      else mk (add_from nd.l ~lo dv) nd.key (nd.v + dv) (add_below nd.r ~hi dv)
+      if nd.key < lo then bal nd.l nd.key nd.v (add_window nd.r ~lo ~hi dv nd.v e)
+      else if nd.key = lo then bal nd.l nd.key (nd.v + dv) (add_hi nd.r ~hi dv nd.v e)
+      else if nd.key > hi then bal (add_window nd.l ~lo ~hi dv at e) nd.key nd.v nd.r
+      else if nd.key = hi then bal (add_lo nd.l ~lo dv at e) nd.key nd.v nd.r
+      else bal (add_lo nd.l ~lo dv at e) nd.key (nd.v + dv) (add_hi nd.r ~hi dv nd.v e)
 
 (* ------------------------------------------------------------------ *)
 (* Public persistent API                                              *)
@@ -245,15 +276,15 @@ let available_at t time =
 
 let min_in t ~from_ ~until =
   descent ();
-  min (value_at t.root from_) (min_keys t.root 0 ~lo:(from_ + 1) ~hi:until)
+  window_min t.root 0 ~lo:from_ ~hi:until max_int
 
 let max_in t ~from_ ~until =
   descent ();
-  max (value_at t.root from_) (max_keys t.root 0 ~lo:(from_ + 1) ~hi:until)
+  window_max t.root 0 ~lo:from_ ~hi:until min_int
 
 (* Update and fit entry points take the name [op] they report errors
    under, so the persistent and [Txn] forms share one body. *)
-let check_window ~op ~start ~finish ~procs =
+let check_window ~op ~(start : int) ~finish ~procs =
   if start >= finish then invalid_arg (op ^ ": start >= finish");
   if procs < 1 then invalid_arg (op ^ ": procs < 1")
 
@@ -261,39 +292,36 @@ let check_fit ~op ~procs ~dur =
   if procs < 1 then invalid_arg (op ^ ": procs < 1");
   if dur < 1 then invalid_arg (op ^ ": dur < 1")
 
-let root_can_reserve root ~start ~finish ~procs =
-  procs <= min (value_at root start) (min_keys root 0 ~lo:(start + 1) ~hi:finish)
-
 let can_reserve t ~start ~finish ~procs =
   check_window ~op:"Mp_index.can_reserve" ~start ~finish ~procs;
   descent ();
-  root_can_reserve t.root ~start ~finish ~procs
+  procs <= window_min t.root 0 ~lo:start ~hi:finish max_int
 
-(* Cut breakpoints at [start] and [finish], then add [dv] between them.
-   A [cut] that finds its key already there returns its argument, which
-   is how the breakpoint count learns what the cuts added. *)
-let apply t ~start ~finish dv =
-  let r1 = cut t.root start in
-  let r2 = cut r1 finish in
-  {
-    t with
-    root = add_range r2 ~lo:start ~hi:finish dv;
-    bps = t.bps + Bool.to_int (r1 != t.root) + Bool.to_int (r2 != r1);
-  }
+(* Add [dv] over [start, finish) after the capacity descent found the
+   window's extremum [m].  When both ends fell in one gap, the window
+   lies inside one segment, so [m] is the value [finish] takes.  The
+   breakpoint count grows by the keys inserted. *)
+let apply t ~start ~finish dv m =
+  let e = { added = 0; hi_left = false } in
+  let root = add_window t.root ~lo:start ~hi:finish dv 0 e in
+  if e.hi_left then { t with root = insert root finish m; bps = t.bps + e.added + 1 }
+  else { t with root; bps = t.bps + e.added }
 
 let reserve_as ~op t ~start ~finish ~procs =
   check_window ~op ~start ~finish ~procs;
   descent ();
-  if root_can_reserve t.root ~start ~finish ~procs then Some (apply t ~start ~finish (-procs))
-  else None
+  let mn = window_min t.root 0 ~lo:start ~hi:finish max_int in
+  if procs > mn then None else Some (apply t ~start ~finish (-procs) mn)
 
 let reserve t ~start ~finish ~procs = reserve_as ~op:"Mp_index.reserve" t ~start ~finish ~procs
 
+(* [procs > cap - mx], not [mx + procs > cap]: the sum wraps for a
+   [procs] near [max_int]. *)
 let release_as ~op t ~start ~finish ~procs =
   check_window ~op ~start ~finish ~procs;
   descent ();
-  let mx = max (value_at t.root start) (max_keys t.root 0 ~lo:(start + 1) ~hi:finish) in
-  if mx + procs > t.cap then None else Some (apply t ~start ~finish procs)
+  let mx = window_max t.root 0 ~lo:start ~hi:finish min_int in
+  if procs > t.cap - mx then None else Some (apply t ~start ~finish procs mx)
 
 let release t ~start ~finish ~procs = release_as ~op:"Mp_index.release" t ~start ~finish ~procs
 
@@ -341,7 +369,7 @@ let earliest_as ~op t ~limit ~after ~procs ~dur =
   if procs > t.cap then None
   else begin
     descent ();
-    let limit = min limit (max_int - dur) and after = max after (min_int + 1) in
+    let limit = Int.min limit (max_int - dur) and after = Int.max after (min_int + 1) in
     if after > limit then None
     else
       let s = fit_walk t.root 0 ~after ~limit ~procs ~dur blocked in
@@ -373,7 +401,7 @@ let rec latest_walk t acc ~hi ~lo ~finish_by ~procs ~dur e =
         let acc = acc + d in
         if key >= finish_by then latest_walk l acc ~hi:key ~lo ~finish_by ~procs ~dur e
         else if mn + acc >= procs then e
-        else if mx + acc < procs then min e lk
+        else if mx + acc < procs then Int.min e lk
         else
           let e = latest_walk r acc ~hi ~lo ~finish_by ~procs ~dur e in
           let succ = match r with Leaf -> hi | Node { lk; _ } -> lk in
@@ -444,16 +472,16 @@ let self_check t =
         let acc = acc + d in
         let lh, lmn, lmx, lks = chk l acc in
         let rh, rmn, rmx, rks = chk r acc in
-        if h <> 1 + max lh rh then
+        if h <> 1 + Int.max lh rh then
           fail "Mp_index.self_check: height %d at key %d (want %d)" h key
-            (1 + max lh rh);
+            (1 + Int.max lh rh);
         if abs (lh - rh) > 2 then
           fail "Mp_index.self_check: imbalance %d at key %d" (lh - rh) key;
         let elk = match lks with [] -> key | k :: _ -> k in
         if lk <> elk then
           fail "Mp_index.self_check: least key %d at key %d (want %d)" lk key elk;
-        let emn = min (v + acc) (min lmn rmn)
-        and emx = max (v + acc) (max lmx rmx) in
+        let emn = Int.min (v + acc) (Int.min lmn rmn)
+        and emx = Int.max (v + acc) (Int.max lmx rmx) in
         if mn + acc <> emn then
           fail "Mp_index.self_check: min summary %d at key %d (want %d)"
             (mn + acc) key emn;

@@ -11,8 +11,10 @@
     additionally summarizes its subtree with the minimum and maximum
     value and carries a lazy "add" tag, so that
 
-    - point lookups, window minima/maxima, {!reserve} and {!release}
-      (range adds over the covered breakpoints) are O(log R), and
+    - point lookups and window minima/maxima are O(log R), and so are
+      {!reserve} and {!release}: one capacity descent plus one update
+      descent that inserts the window's ends and adds over the covered
+      breakpoints in the same path copy, and
     - each fit query is one walk over the breakpoints it crosses:
       {!earliest_fit} forward from its start, {!latest_fit} backward
       from its deadline.  The walk skips every subtree whose summary
@@ -82,13 +84,19 @@ val reserve : t -> start:int -> finish:int -> procs:int -> t option
 (** [reserve t ~start ~finish ~procs] subtracts [procs] from the window
     [\[start, finish)], or returns [None] if some instant has fewer than
     [procs] free.  Raises [Invalid_argument] if [start >= finish] or
-    [procs < 1].  O(log R). *)
+    [procs < 1].  One capacity descent reads the window's minimum; one
+    update descent then inserts [start] and [finish] where absent and
+    subtracts over the window in the same path copy (when both ends fall
+    in one gap, [finish] takes a separate insert).  O(log R); keys are
+    never removed, so {!breakpoints} grows by the ends inserted. *)
 
 val release : t -> start:int -> finish:int -> procs:int -> t option
 (** Inverse of {!reserve}: adds [procs] back over [\[start, finish)], or
     [None] if that would lift any instant above {!capacity} (the window
-    was not fully held).  Raises [Invalid_argument] on a degenerate
-    window, as {!reserve} does.  O(log R). *)
+    was not fully held; the test cannot overflow, so even [procs =
+    max_int] is refused).  Raises [Invalid_argument] on a degenerate
+    window, as {!reserve} does.  One capacity descent for the window's
+    maximum plus one update descent, as {!reserve}.  O(log R). *)
 
 val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int option
 (** [earliest_fit t ~after ~procs ~dur] is the earliest start [s >=

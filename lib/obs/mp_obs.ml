@@ -29,7 +29,7 @@ let register reg name =
   Mutex.lock mutex;
   let id = reg.n in
   if id >= Array.length reg.names then begin
-    let a = Array.make (max 8 (2 * Array.length reg.names)) "" in
+    let a = Array.make (Int.max 8 (2 * Array.length reg.names)) "" in
     Array.blit reg.names 0 a 0 id;
     reg.names <- a
   end;
@@ -84,8 +84,8 @@ let key : buffer Domain.DLS.key =
       let b =
         {
           domain = (Domain.self () :> int);
-          counts = Array.make (max 8 counters.n) 0;
-          hists = Array.make (max 8 timers.n) None;
+          counts = Array.make (Int.max 8 counters.n) 0;
+          hists = Array.make (Int.max 8 timers.n) None;
           events = [||];
           n_events = 0;
           stack_ids = Array.make 16 0;
@@ -120,7 +120,7 @@ module Counter = struct
   let[@inline never] add_on t n =
     let b = buf () in
     if t >= Array.length b.counts then
-      b.counts <- grow_int_array b.counts (max (t + 1) (2 * Array.length b.counts));
+      b.counts <- grow_int_array b.counts (Int.max (t + 1) (2 * Array.length b.counts));
     b.counts.(t) <- b.counts.(t) + n
 
   let[@inline] add t n = if !enabled then add_on t n
@@ -157,7 +157,7 @@ let percentile_of_buckets ~count ~max_sample ~buckets q =
   if count = 0 then nan
   else begin
     let q = Float.max 0. (Float.min 1. q) in
-    let target = max 1 (int_of_float (ceil (q *. float_of_int count))) in
+    let target = Int.max 1 (int_of_float (ceil (q *. float_of_int count))) in
     let n = Array.length buckets in
     let rec go i acc =
       if i >= n then float_of_int max_sample
@@ -185,7 +185,7 @@ module Hist = struct
     Array.fill h.h_buckets 0 n_buckets 0
 
   let add h v =
-    let v = max 0 v in
+    let v = Int.max 0 v in
     h.h_count <- h.h_count + 1;
     h.h_total <- h.h_total + v;
     if v > h.h_max then h.h_max <- v;
@@ -215,7 +215,7 @@ module Summary = struct
      extracted here, so baselines compare like for like. *)
   let percentile a p =
     let n = Array.length a in
-    if n = 0 then 0 else a.(min (n - 1) (int_of_float (p *. float_of_int n)))
+    if n = 0 then 0 else a.(Int.min (n - 1) (int_of_float (p *. float_of_int n)))
 
   let of_samples samples =
     let a = Array.copy samples in
@@ -244,7 +244,7 @@ module Timer = struct
   let[@inline never] record t ns =
     let b = buf () in
     if t >= Array.length b.hists then begin
-      let a = Array.make (max (t + 1) (2 * Array.length b.hists)) None in
+      let a = Array.make (Int.max (t + 1) (2 * Array.length b.hists)) None in
       Array.blit b.hists 0 a 0 (Array.length b.hists);
       b.hists <- a
     end;
@@ -262,7 +262,7 @@ module Timer = struct
     let i = bucket_of ns in
     h.h_buckets.(i) <- h.h_buckets.(i) + 1
 
-  let[@inline never] stop_on t t0 = record t (max 0 (now_ns () - t0))
+  let[@inline never] stop_on t t0 = record t (Int.max 0 (now_ns () - t0))
   let[@inline] stop t t0 = if !enabled && t0 <> 0 then stop_on t t0
 end
 
@@ -296,11 +296,11 @@ module Span = struct
         if b.n_events + event_stride > Array.length b.events then
           b.events <-
             grow_int_array b.events
-              (max (16 * event_stride)
-                 (min (event_stride * !event_cap) (2 * Array.length b.events)));
+              (Int.max (16 * event_stride)
+                 (Int.min (event_stride * !event_cap) (2 * Array.length b.events)));
         b.events.(b.n_events) <- t;
         b.events.(b.n_events + 1) <- t0;
-        b.events.(b.n_events + 2) <- max 0 (now_ns () - t0);
+        b.events.(b.n_events + 2) <- Int.max 0 (now_ns () - t0);
         b.events.(b.n_events + 3) <- b.tag_req;
         b.events.(b.n_events + 4) <- b.tag_site;
         b.n_events <- b.n_events + event_stride
@@ -502,7 +502,7 @@ module Report = struct
       if shown <> [] then begin
         Buffer.add_string buf "top counters:\n";
         let w =
-          List.fold_left (fun acc (n, _) -> max acc (String.length n)) 0 shown
+          List.fold_left (fun acc (n, _) -> Int.max acc (String.length n)) 0 shown
         in
         List.iter
           (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "  %-*s %d\n" w name v))
@@ -511,7 +511,7 @@ module Report = struct
       if s.hists <> [] then begin
         Buffer.add_string buf "timers (p50/p95/p99 from log2 buckets):\n";
         let w =
-          List.fold_left (fun acc (h : Snapshot.hist) -> max acc (String.length h.hist_name)) 0 s.hists
+          List.fold_left (fun acc (h : Snapshot.hist) -> Int.max acc (String.length h.hist_name)) 0 s.hists
         in
         List.iter
           (fun (h : Snapshot.hist) ->

@@ -8,7 +8,8 @@
 
    [reserve], [release], point lookups and window minima are O(log R)
    in the number of breakpoints, both on the persistent form and inside
-   a {!Txn}.  [earliest_fit] and [latest_fit] are each one walk over the
+   a {!Txn}; a [reserve] or [release] is one capacity descent plus one
+   update descent.  [earliest_fit] and [latest_fit] are each one walk over the
    breakpoints they cross, about one node visit per breakpoint plus
    O(log R).  All of them are output-preserving with respect to a
    brute-force walk of the step function (pinned by the qcheck

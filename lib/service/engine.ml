@@ -61,8 +61,8 @@ let ring_push r ~id ~arrival ~started ~kind =
 
 (* Last [k] digests, oldest first. *)
 let ring_recent r k =
-  let avail = min r.r_len ring_cap in
-  let k = max 0 (min k avail) in
+  let avail = Int.min r.r_len ring_cap in
+  let k = Int.max 0 (Int.min k avail) in
   List.init k (fun j ->
       let i = (r.r_len - k + j) mod ring_cap in
       {
@@ -435,13 +435,13 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
     in
     if Queue.length inflight >= queue_limit then shed `Queue
     else begin
-      let started = max e.arrival !free_at in
+      let started = Int.max e.arrival !free_at in
       let over_budget =
         match e.budget with None -> false | Some b -> started - e.arrival > b
       in
       if over_budget then shed `Budget
       else begin
-        let finish = started + max 1 (Request.cost e.payload) in
+        let finish = started + Int.max 1 (Request.cost e.payload) in
         free_at := finish;
         Queue.push finish inflight;
         let depth = Queue.length inflight in
@@ -463,7 +463,7 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
         | Some a -> a.w_counts.(response_kind) <- a.w_counts.(response_kind) + 1);
         Mp_obs.Tag.clear ();
         { id = e.id; site = site_idx; arrival = e.arrival; started; response;
-          wall_ns = max 0 wall_ns }
+          wall_ns = Int.max 0 wall_ns }
       end
     end
   in
@@ -475,9 +475,9 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
            then the partial window containing it (skipped when the horizon
            sits exactly on the last flushed boundary) *)
         let last_arrival =
-          List.fold_left (fun m (e : Request.envelope) -> max m e.arrival) 0 envelopes
+          List.fold_left (fun m (e : Request.envelope) -> Int.max m e.arrival) 0 envelopes
         in
-        let horizon = max last_arrival !free_at in
+        let horizon = Int.max last_arrival !free_at in
         flush_until horizon;
         if horizon > a.w_end - every then flush_window a
       end;

@@ -6,6 +6,7 @@ module Dag_gen = Mp_dag.Dag_gen
 module Calendar = Mp_platform.Calendar
 module Reservation = Mp_platform.Reservation
 module Schedule = Mp_cpa.Schedule
+module Allocation = Mp_cpa.Allocation
 
 let random_dag ?(n = 25) seed = Dag_gen.generate (Rng.create seed) { Dag_gen.default with n }
 
@@ -74,8 +75,9 @@ let test_env_no_reservations () =
 let test_bl_methods_distinct () =
   let env = Env.make ~calendar:(Calendar.create ~procs:64) ~q:8. in
   let dag = random_dag 1 in
-  let w1 = Bottom_level.weights BL_1 env dag in
-  let wall = Bottom_level.weights BL_ALL env dag in
+  let cpa = Allocation.per_procs dag in
+  let w1 = Bottom_level.weights ~cpa BL_1 env dag in
+  let wall = Bottom_level.weights ~cpa BL_ALL env dag in
   (* p-processor weights must be strictly smaller for parallelizable tasks *)
   Alcotest.(check bool) "BL_ALL < BL_1 weights" true
     (Array.for_all2 (fun a b -> a <= b) wall w1 && wall <> w1)
@@ -83,9 +85,10 @@ let test_bl_methods_distinct () =
 let test_bl_order_topological () =
   let env = busy_env 2 in
   let dag = random_dag 3 in
+  let cpa = Allocation.per_procs dag in
   List.iter
     (fun m ->
-      let order = Bottom_level.order m env dag in
+      let order = Bottom_level.order ~cpa m env dag in
       let pos = Array.make (Dag.n dag) 0 in
       Array.iteri (fun k i -> pos.(i) <- k) order;
       List.iter
@@ -100,7 +103,8 @@ let test_bl_cpa_equals_cpar_when_q_is_p () =
   let env = Env.make ~calendar:cal ~q:16. in
   let dag = random_dag 70 in
   Alcotest.(check bool) "same weights" true
-    (Bottom_level.weights BL_CPA env dag = Bottom_level.weights BL_CPAR env dag)
+    (Bottom_level.weights ~cpa:(Allocation.per_procs dag) BL_CPA env dag
+    = Bottom_level.weights ~cpa:(Allocation.per_procs dag) BL_CPAR env dag)
 
 let test_ressched_name () =
   Alcotest.(check string) "name" "BL_CPAR_BD_CPA" (Ressched.name ~bl:BL_CPAR ~bd:BD_CPA)
@@ -120,9 +124,10 @@ let test_ressched_slots_exact_duration () =
 let test_bounds_ranges () =
   let env = busy_env ~p:16 4 in
   let dag = random_dag 5 in
+  let cpa = Allocation.per_procs dag in
   List.iter
     (fun m ->
-      let b = Bound.bounds m env dag in
+      let b = Bound.bounds ~cpa m env dag in
       Array.iter
         (fun v ->
           if v < 1 || v > 16 then Alcotest.failf "%s bound %d outside [1, 16]" (Bound.name m) v)
@@ -132,15 +137,16 @@ let test_bounds_ranges () =
 let test_bd_half () =
   let env = Env.no_reservations ~p:16 in
   let dag = diamond () in
-  let b = Bound.bounds BD_HALF env dag in
+  let b = Bound.bounds ~cpa:(Allocation.per_procs dag) BD_HALF env dag in
   Alcotest.(check bool) "all p/2" true (Array.for_all (fun v -> v = 8) b)
 
 let test_bd_icaslb_bounds () =
   let env = busy_env ~p:16 7 in
   let dag = random_dag 8 in
+  let cpa = Allocation.per_procs dag in
   List.iter
     (fun bd ->
-      let b = Bound.bounds bd env dag in
+      let b = Bound.bounds ~cpa bd env dag in
       Array.iter
         (fun v ->
           if v < 1 || v > 16 then Alcotest.failf "%s bound %d outside [1, 16]" (Bound.name bd) v)
@@ -154,8 +160,9 @@ let test_bd_icaslb_bounds () =
 let test_bd_cpar_smaller_than_all () =
   let env = busy_env ~p:32 6 in
   let dag = random_dag 7 in
-  let ball = Bound.bounds BD_ALL env dag in
-  let bcpar = Bound.bounds BD_CPAR env dag in
+  let cpa = Allocation.per_procs dag in
+  let ball = Bound.bounds ~cpa BD_ALL env dag in
+  let bcpar = Bound.bounds ~cpa BD_CPAR env dag in
   Alcotest.(check bool) "CPAR bounds <= ALL bounds" true (Array.for_all2 ( >= ) ball bcpar)
 
 (* ------------------------------------------------------------------ *)
@@ -648,9 +655,10 @@ let prop_ressched_respects_bounds =
   QCheck.Test.make ~name:"ressched never exceeds per-task bounds" ~count:30 arb_seed (fun seed ->
       let env = busy_env seed in
       let dag = random_dag ~n:15 (seed + 4000) in
+      let cpa = Allocation.per_procs dag in
       List.for_all
         (fun bd ->
-          let bounds = Bound.bounds bd env dag in
+          let bounds = Bound.bounds ~cpa bd env dag in
           let sched = Ressched.schedule ~bd env dag in
           Array.for_all
             (fun i -> Schedule.procs sched i <= max 1 bounds.(i))

@@ -167,6 +167,48 @@ let test_journal_matches_deadline () =
           | _ -> ())
         with_ref
 
+(* A prepare or schedule runs CPA once per distinct processor count: the
+   order, bounds, reference and bounded fallback share one allocation.
+   The [cpa.allocate.calls] counter counts the runs; the journal still
+   records one [cpa_alloc] per use (the [p] of each, in order), so
+   explain reports stay as they were. *)
+let test_one_cpa_alloc_per_procs () =
+  let env = busy_env 13 in
+  let dag = random_dag 14 12 in
+  let { Env.p; q; _ } = env in
+  if q = p then Alcotest.fail "the test needs q < p";
+  let allocations f =
+    Mp_obs.with_enabled (fun () ->
+        let calls () =
+          Option.value ~default:0
+            (List.assoc_opt "cpa.allocate.calls" (Mp_obs.Snapshot.take ()).Mp_obs.Snapshot.counters)
+        in
+        let c0 = calls () in
+        let _, entries = Journal.record f in
+        let used = List.filter_map (function Journal.Cpa_alloc { p; _ } -> Some p | _ -> None) entries in
+        (calls () - c0, used))
+  in
+  let check name (runs, used) ~want_runs ~want_used =
+    Alcotest.(check int) (name ^ ": allocations run") want_runs runs;
+    Alcotest.(check (list int)) (name ^ ": allocations journaled") want_used used
+  in
+  List.iter
+    (fun ((a : Mp_core.Algo.deadline), want_used) ->
+      let distinct = List.length (List.sort_uniq compare want_used) in
+      check (a.name ^ " prepare")
+        (allocations (fun () ->
+             let (_ : deadline:int -> Schedule.t option) = a.prepare env dag in
+             ()))
+        ~want_runs:distinct ~want_used)
+    (List.combine Mp_core.Algo.deadline_all
+       [ [ q ]; [ q; p ]; [ q; q ]; [ q; p ]; [ q; q ]; [ q; q ]; [ q; q; q ] ]);
+  List.iter
+    (fun (bd, want_runs, want_used) ->
+      check (Mp_core.Bound.name bd)
+        (allocations (fun () -> ignore (Ressched.schedule ~bd env dag)))
+        ~want_runs ~want_used)
+    [ (Mp_core.Bound.BD_CPAR, 1, [ q; q ]); (BD_CPA, 2, [ q; p ]); (BD_ALL, 1, [ q ]) ]
+
 let test_journal_online_grants () =
   let env = busy_env 7 in
   let dag = random_dag 8 10 in
@@ -604,6 +646,8 @@ let () =
           Alcotest.test_case "won pairs match RESSCHED output" `Quick test_journal_matches_ressched;
           Alcotest.test_case "won pairs match RESSCHEDDL output" `Quick
             test_journal_matches_deadline;
+          Alcotest.test_case "one CPA allocation per processor count" `Quick
+            test_one_cpa_alloc_per_procs;
           Alcotest.test_case "online grant decisions" `Quick test_journal_online_grants;
           Alcotest.test_case "jsonl and story render" `Quick test_journal_jsonl_and_story;
           Alcotest.test_case "record nests and restores" `Quick test_journal_record_nests;

@@ -106,6 +106,14 @@ let arb_fit_scenario =
     QCheck.Gen.(
       oneof [ gen_scenario; pair gen_dense_soup (triple (0 -- 160) (1 -- cap) (1 -- 20)) ])
 
+(* Every stored breakpoint, in key order. *)
+let breakpoint_list idx =
+  let l = ref [] in
+  Index.iter_breakpoints idx (fun k v -> l := (k, v) :: !l);
+  List.rev !l
+
+let bp_list = Alcotest.(list (pair int int))
+
 (* ------------------------------------------------------------------ *)
 (* Persistent form vs reference *)
 
@@ -306,6 +314,56 @@ let prop_txn_commit_isolated =
       && Index.available_at snap 105 = cap
       && Index.available_at (Index.Txn.commit txn) 105 = 0)
 
+(* Updates never remove a key, so after any reserve/release soup the key
+   set is the sentinel plus the ends of every window applied, which is
+   what the breakpoint count reports.  A negative start stands for
+   [min_int] and a zero duration for a window ending at [max_int];
+   [sel] picks a fresh reserve, a fresh release, or a release of an
+   earlier granted reserve. *)
+let prop_update_keys =
+  QCheck.Test.make ~name:"updates keep the structure and key every applied end" ~count:300
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "; "
+           (List.map (fun (sel, (s, d, np)) -> Printf.sprintf "%d:[%d,+%d)x%d" sel s d np) ops))
+       QCheck.Gen.(list_size (1 -- 40) (pair (0 -- 9) (triple (-2 -- 40) (0 -- 12) (1 -- cap)))))
+    (fun ops ->
+      let idx = ref (Index.create ~procs:cap) and txn = Index.Txn.start (Index.create ~procs:cap) in
+      let keys = ref [ min_int ] and granted = ref [] in
+      List.for_all
+        (fun (sel, (s, d, np)) ->
+          let start = if s < 0 then min_int else s in
+          let finish = if d = 0 then max_int else start + d in
+          let rel, (start, finish, np) =
+            match !granted with
+            | _ :: _ as g when sel >= 8 -> (true, List.nth g (sel mod List.length g))
+            | _ -> (sel >= 6, (start, finish, np))
+          in
+          let applied =
+            if rel then Index.release !idx ~start ~finish ~procs:np
+            else Index.reserve !idx ~start ~finish ~procs:np
+          in
+          let txn_applied =
+            if rel then Index.Txn.release txn ~start ~finish ~procs:np
+            else Index.Txn.reserve txn ~start ~finish ~procs:np
+          in
+          (match applied with
+          | Some i ->
+              idx := i;
+              keys := start :: finish :: !keys;
+              if not rel then granted := (start, finish, np) :: !granted
+          | None -> ());
+          let want = List.sort_uniq compare !keys in
+          let committed = Index.Txn.commit txn in
+          Index.self_check !idx;
+          Index.self_check committed;
+          Option.is_some applied = txn_applied
+          && List.map fst (breakpoint_list !idx) = want
+          && Index.breakpoints !idx = List.length want
+          && breakpoint_list committed = breakpoint_list !idx
+          && Index.breakpoints committed = List.length want)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Unit: argument validation and small cases *)
 
@@ -374,6 +432,100 @@ let test_blocked_sentinel () =
   some "earliest fit at the end" (Some 100) (Index.earliest_fit idx ~after:min_int ~procs:1 ~dur:3)
 
 (* ------------------------------------------------------------------ *)
+(* One-descent update: the exact breakpoints for each way a window's ends
+   meet the existing keys, persistent and Txn *)
+
+(* Capacity 8 holding [10, 20) x 3: keys min_int, 10 and 20. *)
+let update_base () =
+  Option.get (Index.reserve (Index.create ~procs:8) ~start:10 ~finish:20 ~procs:3)
+
+let base_avail k = if 10 <= k && k < 20 then 5 else 8
+
+(* Each window reserved x 2 on [update_base]. *)
+let update_cases =
+  [
+    ("strictly inside one segment", 12, 15, [ (min_int, 8); (10, 5); (12, 3); (15, 5); (20, 8) ]);
+    ("inside the open tail", 30, 40, [ (min_int, 8); (10, 5); (20, 8); (30, 6); (40, 8) ]);
+    ("start existing, finish new", 10, 15, [ (min_int, 8); (10, 3); (15, 5); (20, 8) ]);
+    ("start new, finish existing", 15, 20, [ (min_int, 8); (10, 5); (15, 3); (20, 8) ]);
+    ("both ends existing", 10, 20, [ (min_int, 8); (10, 3); (20, 8) ]);
+    ("across existing keys", 5, 25, [ (min_int, 8); (5, 6); (10, 3); (20, 6); (25, 8) ]);
+    ("start = min_int", min_int, 15, [ (min_int, 6); (10, 3); (15, 5); (20, 8) ]);
+    ("finish = max_int", 15, max_int, [ (min_int, 8); (10, 5); (15, 3); (20, 6); (max_int, 8) ]);
+  ]
+
+(* Releasing the window again restores the values; the keys stay. *)
+let test_update_cases () =
+  List.iter
+    (fun (name, start, finish, want) ->
+      let check form idx want =
+        Index.self_check idx;
+        Alcotest.check bp_list (name ^ ", " ^ form) want (breakpoint_list idx);
+        Alcotest.(check int) (name ^ ", " ^ form ^ ": count") (List.length want)
+          (Index.breakpoints idx)
+      in
+      let released = List.map (fun (k, _) -> (k, base_avail k)) want in
+      let idx = Option.get (Index.reserve (update_base ()) ~start ~finish ~procs:2) in
+      check "reserve" idx want;
+      check "release" (Option.get (Index.release idx ~start ~finish ~procs:2)) released;
+      let txn = Index.Txn.start (update_base ()) in
+      if not (Index.Txn.reserve txn ~start ~finish ~procs:2) then
+        Alcotest.failf "%s: txn refused the reserve" name;
+      check "txn reserve" (Index.Txn.commit txn) want;
+      if not (Index.Txn.release txn ~start ~finish ~procs:2) then
+        Alcotest.failf "%s: txn refused the release" name;
+      check "txn release" (Index.Txn.commit txn) released)
+    update_cases
+
+(* Both ends of every window fall in one gap, so each update inserts its
+   second end with a separate descent; ascending windows grow the right
+   spine, descending ones the left, and each forces rotations. *)
+let test_same_gap_rotations () =
+  let n = 10_000 in
+  let idx = ref (Index.create ~procs:2) and txn = Index.Txn.start (Index.create ~procs:2) in
+  let step i ~start =
+    let finish = start + 2 in
+    idx := Option.get (Index.reserve !idx ~start ~finish ~procs:1);
+    if not (Index.Txn.reserve txn ~start ~finish ~procs:1) then
+      Alcotest.failf "txn refused [%d, %d)" start finish;
+    if i mod 100 = 0 then begin
+      Index.self_check !idx;
+      Index.self_check (Index.Txn.commit txn)
+    end
+  in
+  for i = 0 to n - 1 do
+    step i ~start:(3 * i)
+  done;
+  for i = 0 to n - 1 do
+    step i ~start:(-3 * (i + 1))
+  done;
+  Index.self_check !idx;
+  Alcotest.(check int) "two keys per window" (1 + (4 * n)) (Index.breakpoints !idx);
+  Alcotest.check bp_list "txn matches persistent" (breakpoint_list !idx)
+    (breakpoint_list (Index.Txn.commit txn));
+  List.iter
+    (fun (t, want) -> Alcotest.(check int) (Printf.sprintf "available at %d" t) want
+        (Index.available_at !idx t))
+    [ (min_int, 2); (-30_000, 1); (-29_999, 1); (-29_998, 2); (-1, 2); (0, 1); (2, 2); (29_998, 1); (29_999, 2) ]
+
+(* Releasing [max_int] processors must not wrap the capacity test. *)
+let test_release_overflow () =
+  let idx = Option.get (Index.reserve (Index.create ~procs:8) ~start:0 ~finish:10 ~procs:3) in
+  let before = breakpoint_list idx in
+  List.iter
+    (fun procs ->
+      let what = Printf.sprintf "release x %d" procs in
+      Alcotest.(check bool) (what ^ ": refused") true
+        (Index.release idx ~start:0 ~finish:10 ~procs = None);
+      Alcotest.check bp_list (what ^ ": snapshot unchanged") before (breakpoint_list idx);
+      let txn = Index.Txn.start idx in
+      Alcotest.(check bool) (what ^ ": txn refused") false
+        (Index.Txn.release txn ~start:0 ~finish:10 ~procs);
+      Alcotest.check bp_list (what ^ ": txn unchanged") before
+        (breakpoint_list (Index.Txn.commit txn)))
+    [ max_int; max_int - 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Visit pin: each fit direction crosses blocked runs in one walk *)
 
 let visits () =
@@ -424,6 +576,7 @@ let test_large_r_smoke () =
       let horizon = 215 * r_target in
       let txn = Index.Txn.start (Index.create ~procs:q) in
       let kept = ref 0 and attempts = ref 0 in
+      let v_build = visits () in
       while !kept < r_target && !attempts < 3 * r_target do
         incr attempts;
         let start = Mp_prelude.Rng.int rng horizon in
@@ -432,10 +585,16 @@ let test_large_r_smoke () =
         if Index.Txn.reserve txn ~start ~finish:(start + dur) ~procs then incr kept
       done;
       if !kept < r_target then Alcotest.failf "built only %d of %d reservations" !kept r_target;
+      let vpr = float_of_int (visits () - v_build) /. float_of_int !attempts in
       let idx = Index.Txn.commit txn in
       Index.self_check idx;
       let bps = Index.breakpoints idx in
       if bps < r_target then Alcotest.failf "only %d breakpoints for %d reservations" bps !kept;
+      (* One capacity descent plus one update descent: about two root-to-
+         leaf paths each. *)
+      let reserve_bound = (3. *. (log (float_of_int bps) /. log 2.)) +. 16. in
+      if vpr > reserve_bound then
+        Alcotest.failf "visits/reserve %.1f exceeds %.1f at %d breakpoints" vpr reserve_bound bps;
       let n_queries = 500 in
       let v0 = visits () in
       for _ = 1 to n_queries do
@@ -469,6 +628,7 @@ let () =
         prop_fold_segments_reproduce_profile;
         prop_txn_matches_persistent;
         prop_txn_commit_isolated;
+        prop_update_keys;
       ]
   in
   Alcotest.run "index"
@@ -481,6 +641,9 @@ let () =
           Alcotest.test_case "fit windows at the ends of int" `Quick test_fit_int_extremes;
           Alcotest.test_case "blocked sentinel" `Quick test_blocked_sentinel;
           Alcotest.test_case "comb of blocked runs, one walk" `Quick test_comb_one_walk;
+          Alcotest.test_case "one-descent update cases" `Quick test_update_cases;
+          Alcotest.test_case "same-gap updates rotate" `Quick test_same_gap_rotations;
+          Alcotest.test_case "release overflow refused" `Quick test_release_overflow;
         ] );
       ("properties", props);
       ("large-R", [ Alcotest.test_case "100k reservations, log-R visits" `Quick test_large_r_smoke ]);

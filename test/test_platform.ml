@@ -185,6 +185,24 @@ let test_release_not_held () =
     (Invalid_argument "Calendar.release: reservation was not held on this calendar") (fun () ->
       ignore (Calendar.release c (Reservation.make ~start:0 ~finish:10 ~procs:1)))
 
+(* Releasing [max_int] processors must not wrap the index's capacity test:
+   the release is refused and the calendar keeps its profile. *)
+let test_release_overflow () =
+  let c = Calendar.reserve (Calendar.create ~procs:8) (Reservation.make ~start:0 ~finish:10 ~procs:3) in
+  let r = Reservation.make ~start:0 ~finish:10 ~procs:max_int in
+  let profile = [ (-5, 0, 8); (0, 10, 5); (10, 15, 8) ] in
+  let segs = Alcotest.(list (triple int int int)) in
+  Alcotest.check_raises "persistent"
+    (Invalid_argument "Calendar.release: reservation was not held on this calendar") (fun () ->
+      ignore (Calendar.release c r));
+  Alcotest.check segs "persistent: unchanged" profile (Calendar.segments c ~from_:(-5) ~until:15);
+  let txn = Calendar.Txn.start c in
+  Alcotest.check_raises "txn"
+    (Invalid_argument "Calendar.Txn.release: reservation was not held on this transaction")
+    (fun () -> Calendar.Txn.release txn r);
+  Alcotest.check segs "txn: unchanged" profile
+    (Calendar.segments (Calendar.Txn.commit txn) ~from_:(-5) ~until:15)
+
 let test_busy_rectangles_roundtrip () =
   let c = Calendar.create ~procs:8 in
   let c = Calendar.reserve c (Reservation.make ~start:5 ~finish:20 ~procs:3) in
@@ -570,6 +588,7 @@ let () =
           Alcotest.test_case "busy series" `Quick test_busy_series;
           Alcotest.test_case "release roundtrip" `Quick test_release_roundtrip;
           Alcotest.test_case "release not held" `Quick test_release_not_held;
+          Alcotest.test_case "release overflow refused" `Quick test_release_overflow;
           Alcotest.test_case "busy rectangles roundtrip" `Quick test_busy_rectangles_roundtrip;
         ] );
       ( "invalid-args",
