@@ -94,7 +94,9 @@ let counted_pass insts =
       List.iter
         (fun (a : Algo.ressched) -> if a.name <> "BD_HALF" then ignore (a.run env dag))
         Algo.ressched_main;
-      List.iter (fun (a : Algo.deadline) -> ignore (a.run env dag ~deadline:loose)) Algo.deadline_all)
+      List.iter
+        (fun (a : Algo.deadline) -> ignore (a.prepare env dag ~deadline:loose))
+        Algo.deadline_all)
     insts
 
 let timed_tests (label, env, dag, loose) =
@@ -114,7 +116,7 @@ let timed_tests (label, env, dag, loose) =
       (fun (a : Algo.deadline) ->
         Test.make
           ~name:(Printf.sprintf "%s%c%s" a.name sep label)
-          (Staged.stage (fun () -> ignore (a.run env dag ~deadline:loose))))
+          (Staged.stage (fun () -> ignore (a.prepare env dag ~deadline:loose))))
       Algo.deadline_all
   in
   res_tests @ dl_tests

@@ -701,27 +701,29 @@ let experiment scale_name table jobs trace =
       Format.eprintf "unknown scale %S (tiny, quick, standard, paper)@." scale_name;
       exit 1
   | Some scale -> (
+      (* only the parallel tables and ablations start worker domains *)
+      let pooled f = Mp_prelude.Pool.with_pool ~jobs (fun pool -> f ~pool scale) in
       match table with
-      | "all" -> Experiments.run_all ~jobs scale
+      | "all" -> pooled Experiments.run_all
       | "2" -> Experiments.print_table2 scale
       | "3" -> Experiments.print_table3 scale
-      | "bl" -> Experiments.print_bl_comparison ~jobs scale
-      | "matrix" -> Experiments.print_bl_bd_matrix ~jobs scale
-      | "4" -> Experiments.print_table4 ~jobs scale
-      | "5" -> Experiments.print_table5 ~jobs scale
-      | "6" -> Experiments.print_table6 ~jobs scale
-      | "7" -> Experiments.print_table7 ~jobs scale
+      | "bl" -> pooled Experiments.print_bl_comparison
+      | "matrix" -> pooled Experiments.print_bl_bd_matrix
+      | "4" -> pooled Experiments.print_table4
+      | "5" -> pooled Experiments.print_table5
+      | "6" -> pooled Experiments.print_table6
+      | "7" -> pooled Experiments.print_table7
       | "8" -> Experiments.print_table8 ()
       | "9" -> Experiments.print_table9 scale
       | "10" -> Experiments.print_table10 scale
       | "allocators" -> Experiments.print_allocator_ablation scale
-      | "blind" -> Experiments.print_blind_ablation ~jobs scale
+      | "blind" -> pooled Experiments.print_blind_ablation
       | "online" -> Experiments.print_online_ablation scale
       | "hetero" -> Experiments.print_hetero_ablation scale
-      | "icaslb" -> Experiments.print_icaslb_ablation ~jobs scale
+      | "icaslb" -> pooled Experiments.print_icaslb_ablation
       | "impact" -> Experiments.print_reservation_impact scale
-      | "pareto" -> Experiments.print_pareto_ablation ~jobs scale
-      | "estimates" -> Experiments.print_estimate_ablation ~jobs scale
+      | "pareto" -> pooled Experiments.print_pareto_ablation
+      | "estimates" -> pooled Experiments.print_estimate_ablation
       | other ->
           Format.eprintf
             "unknown table %S (2,3,bl,4,5,6,7,8,9,10,allocators,blind,online,hetero,icaslb,impact,pareto,estimates,all)@."

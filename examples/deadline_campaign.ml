@@ -40,11 +40,14 @@ let () =
   let tightest =
     List.map
       (fun (a : Algo.deadline) ->
-        let t = Deadline.tightest (fun ~deadline -> a.run env dag ~deadline) env dag in
+        (* one preparation serves every probe of the search and the
+           campaign run below *)
+        let prepared = a.prepare env dag in
+        let t = Deadline.tightest prepared env dag in
         (match t with
         | Some (k, _) -> Format.printf "%-16s  %15.2f h@." a.name (float_of_int k /. 3600.)
         | None -> Format.printf "%-16s  %18s@." a.name "(cannot commit)");
-        (a, t))
+        (a, prepared, t))
       Algo.deadline_all
   in
 
@@ -52,15 +55,17 @@ let () =
      the latest tightest deadline).  Aggressive algorithms burn CPU-hours
      anyway; resource-conservative ones shrink allocations. *)
   let latest =
-    List.fold_left (fun acc (_, t) -> match t with Some (k, _) -> max acc k | None -> acc) 1 tightest
+    List.fold_left
+      (fun acc (_, _, t) -> match t with Some (k, _) -> max acc k | None -> acc)
+      1 tightest
   in
   let deadline = 2 * latest in
   Format.printf "@.Campaign deadline: %.2f h from now.@.@." (float_of_int deadline /. 3600.);
   Format.printf "%-16s  %10s  %14s@." "algorithm" "CPU-hours" "turn-around[h]";
   Format.printf "---------------------------------------------@.";
   List.iter
-    (fun (a : Algo.deadline) ->
-      match a.run env dag ~deadline with
+    (fun ((a : Algo.deadline), prepared, _) ->
+      match prepared ~deadline with
       | Some sched ->
           (match Schedule.validate dag ~base:env.calendar ~deadline sched with
           | Ok () -> ()
@@ -68,4 +73,4 @@ let () =
           Format.printf "%-16s  %10.1f  %14.2f@." a.name (Schedule.cpu_hours sched)
             (float_of_int (Schedule.turnaround sched) /. 3600.)
       | None -> Format.printf "%-16s  %10s@." a.name "missed!")
-    Algo.deadline_all
+    tightest

@@ -5,7 +5,6 @@ type ressched = {
 
 type deadline = {
   name : string;
-  run : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
   prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
 }
 
@@ -36,41 +35,29 @@ let ressched_find name =
 let agg a =
   {
     name = Deadline.aggressive_name a;
-    run = (fun env dag ~deadline -> Deadline.aggressive a env dag ~deadline);
-    prepare = (fun ?spec:_ env dag -> Deadline.aggressive_prepared a env dag);
+    prepare = (fun ?spec:_ env dag -> Deadline.aggressive a env dag);
   }
 
 let rc c =
   {
     name = Deadline.conservative_name c;
-    run = (fun env dag ~deadline -> Deadline.resource_conservative c env dag ~deadline);
     prepare =
       (fun ?spec:_ env dag ->
-        let prepared = Deadline.conservative_prepared c env dag in
+        let prepared = Deadline.resource_conservative c env dag in
         fun ~deadline -> prepared ~lambda:0. ~deadline);
   }
 
-let hybrid_prepare ~bounded_fallback ?spec:_ env dag =
-  let prepared = Deadline.hybrid_prepared ~bounded_fallback env dag in
-  fun ~deadline -> Option.map fst (prepared ~deadline)
-
-let rc_lambda =
+let hybrid ~bounded_fallback name =
   {
-    name = "DL_RC_CPAR-l";
-    run =
-      (fun env dag ~deadline ->
-        Option.map fst (Deadline.hybrid ~bounded_fallback:false env dag ~deadline));
-    prepare = hybrid_prepare ~bounded_fallback:false;
+    name;
+    prepare =
+      (fun ?spec:_ env dag ->
+        let prepared = Deadline.hybrid ~bounded_fallback env dag in
+        fun ~deadline -> Option.map fst (prepared ~deadline));
   }
 
-let rcbd_lambda =
-  {
-    name = "DL_RCBD_CPAR-l";
-    run =
-      (fun env dag ~deadline ->
-        Option.map fst (Deadline.hybrid ~bounded_fallback:true env dag ~deadline));
-    prepare = hybrid_prepare ~bounded_fallback:true;
-  }
+let rc_lambda = hybrid ~bounded_fallback:false "DL_RC_CPAR-l"
+let rcbd_lambda = hybrid ~bounded_fallback:true "DL_RCBD_CPAR-l"
 
 let deadline_main =
   [ agg DL_BD_ALL; agg DL_BD_CPA; agg DL_BD_CPAR; rc DL_RC_CPA; rc DL_RC_CPAR ]

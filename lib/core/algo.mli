@@ -12,13 +12,13 @@ type ressched = {
 
 type deadline = {
   name : string;
-  run : Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
   prepare : ?spec:Speculate.t -> Env.t -> Mp_dag.Dag.t -> deadline:int -> Mp_cpa.Schedule.t option;
-      (** partial application at [Env.t -> Dag.t] precomputes the
-          deadline-independent data; use for deadline sweeps (see
-          {!Deadline.aggressive_prepared}).  A conservative or hybrid
-          closure fills a memo lazily, so call it from one domain at a
-          time.  [?spec] is ignored, as for [run]. *)
+      (** [prepare env dag ~deadline] runs the algorithm once; partial
+          application at [Env.t -> Dag.t] precomputes the
+          deadline-independent data, so deadline sweeps reuse one
+          closure (see {!Deadline.aggressive}).  A conservative or
+          hybrid closure fills a memo lazily, so call it from one domain
+          at a time.  [?spec] is ignored, as for [ressched.run]. *)
 }
 
 val ressched_main : ressched list

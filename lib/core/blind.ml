@@ -97,22 +97,15 @@ let place c task ~ready ~(cands : Task.candidates) ~budget =
       in
       chase ready
 
-let schedule ?(budget = 16) ?(bl = Bottom_level.BL_CPAR) ~q ~engine dag =
+let schedule ?(budget = 16) ~q ~engine dag =
   if budget < 1 then invalid_arg "Blind.schedule: budget < 1";
   let c = { engine; requests = 0 } in
   let p = Calendar.procs (Engine.calendar engine ~site:0) in
   let q = max 1 (min p q) in
-  (* Bounds and ordering weights come from the scheduler's own q estimate:
-     no calendar knowledge involved. *)
+  (* Bounds and BL_CPAR ordering weights come from the scheduler's own q
+     estimate: no calendar knowledge involved. *)
   let bounds = Allocation.allocate ~p:q dag in
-  let weights =
-    match bl with
-    | Bottom_level.BL_1 -> Array.map (fun tk -> Task.exec_time_f tk 1) (Dag.tasks dag)
-    | Bottom_level.BL_ALL -> Array.map (fun tk -> Task.exec_time_f tk p) (Dag.tasks dag)
-    | Bottom_level.BL_CPA -> Allocation.weights dag ~allocs:(Allocation.allocate ~p dag)
-    | Bottom_level.BL_CPAR -> Allocation.weights dag ~allocs:bounds
-  in
-  let order = Mapping.bl_order dag ~weights in
+  let order = Mapping.bl_order dag ~weights:(Allocation.weights dag ~allocs:bounds) in
   let cands =
     Array.init (Dag.n dag) (fun i ->
         Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)))

@@ -23,7 +23,6 @@
 
 val schedule :
   ?budget:int ->
-  ?bl:Bottom_level.method_ ->
   q:int ->
   engine:Mp_service.Engine.t ->
   Mp_dag.Dag.t ->

@@ -161,11 +161,12 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
 
 (* The allocation-dependent data (bottom-level order, CPA allocations for
    bounds and reference schedules) only depends on (env, dag), never on
-   the deadline; the *_prepared variants compute it once so that deadline
-   sweeps — the λ search and the tightest-deadline binary search — pay for
-   it once instead of per probe.  Within one prepare, order, bounds,
-   reference and fallback share one {!Allocation.per_procs} table, so
-   each processor count's CPA allocation runs once. *)
+   the deadline; each algorithm computes it once per partial application
+   at [env dag] so that deadline sweeps — the λ search and the
+   tightest-deadline binary search — pay for it once instead of per
+   probe.  Within one preparation, order, bounds, reference and fallback
+   share one {!Allocation.per_procs} table, so each processor count's CPA
+   allocation runs once. *)
 
 (* One candidate table per task, computed when the prepared closure is
    built and shared by every deadline probe (and every placement of every
@@ -173,7 +174,7 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
 let candidate_tables dag ~bound_of =
   Array.init (Dag.n dag) (fun i -> Task.candidates (Dag.task dag i) ~max_np:(bound_of i))
 
-let aggressive_prepared algo (env : Env.t) dag =
+let aggressive algo (env : Env.t) dag =
   let cpa = Allocation.per_procs dag in
   let order = Bottom_level.order ~cpa Bottom_level.BL_CPAR env dag in
   let bounds =
@@ -187,9 +188,7 @@ let aggressive_prepared algo (env : Env.t) dag =
     backward ~order env dag ~deadline ~place:(fun cal ~k:_ ~i ~dl ->
         place_latest cal (Dag.task dag i) ~dl ~cands:cands.(i))
 
-let aggressive algo env dag ~deadline = aggressive_prepared algo env dag ~deadline
-
-let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
+let resource_conservative ?(bounded_fallback = false) algo (env : Env.t) dag =
   let cpa = Allocation.per_procs dag in
   let order = Bottom_level.order ~cpa Bottom_level.BL_CPAR env dag in
   let ref_q = match algo with DL_RC_CPA -> env.p | DL_RC_CPAR -> env.q in
@@ -207,7 +206,9 @@ let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
     else cons_cands
   in
   fun ~lambda ~deadline ->
-    if lambda < 0. || lambda > 1. then invalid_arg "Deadline.resource_conservative: lambda";
+    (* written so that a NaN lambda fails too *)
+    if not (lambda >= 0. && lambda <= 1.) then
+      invalid_arg "Deadline.resource_conservative: lambda";
     backward ~order env dag ~deadline ~place:(fun cal ~k ~i ~dl ->
         let reference = Mapping.reference_start refs k in
         let threshold =
@@ -220,19 +221,15 @@ let conservative_prepared ?(bounded_fallback = false) algo (env : Env.t) dag =
         | Some slot -> Some slot
         | None -> place_latest cal (Dag.task dag i) ~dl ~cands:fb_cands.(i))
 
-let resource_conservative ?(lambda = 0.) ?bounded_fallback algo env dag ~deadline =
-  conservative_prepared ?bounded_fallback algo env dag ~lambda ~deadline
+(* λ_k = min 1 (k·step), k = 0..n_steps — an integer grid, not repeated
+   float accumulation, so the probed values carry no accumulated
+   rounding.  n_steps is the first k with k·step >= 1. *)
+let step = 0.05
+let n_steps = int_of_float (ceil ((1. /. step) -. 1e-9))
+let lambda_of k = Float.min 1. (float_of_int k *. step)
 
-let hybrid_prepared ?bounded_fallback ?(step = 0.05) env dag =
-  if step <= 0. then invalid_arg "Deadline.hybrid: step <= 0";
-  let prepared = conservative_prepared ?bounded_fallback DL_RC_CPAR env dag in
-  (* λ_k = min 1 (k·step), k = 0..n_steps — an integer grid, not repeated
-     float accumulation, so the probed values carry no accumulated
-     rounding.  n_steps is the first k with k·step >= 1 (the old
-     accumulating loop probed the same count: its 1e-9 guard admitted
-     the accumulated value just above 1, clamped to 1). *)
-  let n_steps = int_of_float (ceil (1. /. step -. 1e-9)) in
-  let lambda_of k = Float.min 1. (float_of_int k *. step) in
+let hybrid ?bounded_fallback env dag =
+  let prepared = resource_conservative ?bounded_fallback DL_RC_CPAR env dag in
   fun ~deadline ->
     let rec sweep k =
       if k > n_steps then None
@@ -244,21 +241,18 @@ let hybrid_prepared ?bounded_fallback ?(step = 0.05) env dag =
     in
     sweep 0
 
-let hybrid ?bounded_fallback ?step env dag ~deadline =
-  hybrid_prepared ?bounded_fallback ?step env dag ~deadline
-
 let lower_bound (env : Env.t) dag =
   let weights = Array.map (fun tk -> Task.exec_time_f tk env.p) (Dag.tasks dag) in
   int_of_float (ceil (Analysis.cp_length dag ~weights))
 
 let bracket_attempts = 22
 
-let tightest ?(resolution = 60) ?spec:_ algo env dag =
-  if resolution < 1 then invalid_arg "Deadline.tightest: resolution < 1";
-  let lo = Int.max 1 (lower_bound env dag) in
+let search ?(resolution = 60) ~lo probe =
+  if resolution < 1 then invalid_arg "Deadline.search: resolution < 1";
+  let lo = Int.max 1 lo in
   let probe ~deadline =
     Mp_obs.Counter.incr c_probes;
-    algo ~deadline
+    probe ~deadline
   in
   (* Find a feasible upper bracket by doubling from [lo]; [missed] keeps
      the deadlines it found infeasible. *)
@@ -266,21 +260,23 @@ let tightest ?(resolution = 60) ?spec:_ algo env dag =
     if attempts = 0 then None
     else
       match probe ~deadline:hi with
-      | Some sched -> Some (hi, sched, missed)
+      | Some x -> Some (hi, x, missed)
       | None -> bracket (hi * 2) (attempts - 1) (hi :: missed)
   in
   match bracket lo bracket_attempts [] with
   | None -> None
-  | Some (hi, sched, missed) ->
+  | Some (hi, x, missed) ->
       (* Bisect between [lo] and the bracket.  A midpoint can land on a
          deadline the bracket already missed; its verdict is known, so
-         the algorithm is not run again. *)
-      let rec search lo hi best =
+         [probe] is not run again. *)
+      let rec bisect lo hi best =
         if hi - lo <= resolution then best
         else
           let mid = lo + ((hi - lo) / 2) in
           match if List.mem mid missed then None else probe ~deadline:mid with
-          | Some sched -> search lo mid (mid, sched)
-          | None -> search mid hi best
+          | Some x -> bisect lo mid (mid, x)
+          | None -> bisect mid hi best
       in
-      Some (search lo hi (hi, sched))
+      Some (bisect lo hi (hi, x))
+
+let tightest ?resolution ?spec:_ algo env dag = search ?resolution ~lo:(lower_bound env dag) algo

@@ -47,13 +47,6 @@ val aggressive :
   Mp_dag.Dag.t ->
   deadline:int ->
   Mp_cpa.Schedule.t option
-
-val aggressive_prepared :
-  aggressive ->
-  Env.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  Mp_cpa.Schedule.t option
 (** Partial application at [Env.t -> Dag.t] precomputes the
     allocation-dependent data (bottom-level order, CPA bounds, the
     per-task {!Mp_dag.Task.candidates} tables and — for the conservative
@@ -61,10 +54,10 @@ val aggressive_prepared :
     {!Mp_cpa.Mapping.prefix_references}), none of which depends on the
     deadline; deadline sweeps — binary searches, λ sweeps — should reuse
     the resulting closure.  The conservative closures carry a
-    lazily-filled memo (see {!conservative_prepared}); an aggressive
+    lazily-filled memo (see {!resource_conservative}); an aggressive
     closure is safe to share across domains. *)
 
-val conservative_prepared :
+val resource_conservative :
   ?bounded_fallback:bool ->
   conservative ->
   Env.t ->
@@ -72,48 +65,44 @@ val conservative_prepared :
   lambda:float ->
   deadline:int ->
   Mp_cpa.Schedule.t option
-(** Prepared variant of {!resource_conservative} (same precomputation
-    note as {!aggressive_prepared}; [lambda] stays a per-call argument so
-    the hybrid's sweep shares one preparation).  The closure's memo of
+(** Same precomputation note as {!aggressive}; [lambda] stays a
+    per-call argument so the hybrid's sweep shares one preparation.
+    [lambda = 0.] is the pure resource-conservative algorithm of
+    Table 6.  Default [bounded_fallback = false].  The closure's memo of
     reference schedules fills lazily: share one closure within a domain,
-    not across concurrently-running domains. *)
-
-val hybrid_prepared :
-  ?bounded_fallback:bool ->
-  ?step:float ->
-  Env.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  (Mp_cpa.Schedule.t * float) option
-(** Prepared variant of {!hybrid}.  The λ grid is [λ_k = min 1 (k·step)]
-    for [k = 0, 1, …] up to the first [k] with [k·step >= 1] — an
-    integer-indexed grid with no accumulated float rounding, swept in
-    order.  Same memo note as {!conservative_prepared}. *)
-
-val resource_conservative :
-  ?lambda:float ->
-  ?bounded_fallback:bool ->
-  conservative ->
-  Env.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  Mp_cpa.Schedule.t option
-(** Defaults: [lambda = 0.], [bounded_fallback = false]. *)
+    not across concurrently-running domains.  Raises [Invalid_argument]
+    unless [0 <= lambda <= 1] (a NaN [lambda] included). *)
 
 val hybrid :
   ?bounded_fallback:bool ->
-  ?step:float ->
   Env.t ->
   Mp_dag.Dag.t ->
   deadline:int ->
   (Mp_cpa.Schedule.t * float) option
 (** λ-sweep over [DL_RC_CPAR]; returns the schedule and the λ used.
-    Defaults: [bounded_fallback = false] (the DL_RC_CPAR-λ of the paper;
-    pass [true] for DL_RCBD_CPAR-λ), [step = 0.05]. *)
+    The λ grid is [λ_k = min 1 (k · 0.05)] for [k = 0 … 20] — an
+    integer-indexed grid with no accumulated float rounding, swept in
+    order.  Default [bounded_fallback = false] (the DL_RC_CPAR-λ of the
+    paper; pass [true] for DL_RCBD_CPAR-λ).  Same precomputation and
+    memo notes as {!resource_conservative}. *)
 
 val lower_bound : Env.t -> Mp_dag.Dag.t -> int
 (** A deadline no algorithm can beat: the critical-path length with every
     task on all [p] processors, ignoring reservations. *)
+
+val search :
+  ?resolution:int -> lo:int -> (deadline:int -> 'a option) -> (int * 'a) option
+(** [search ~lo probe] finds the smallest deadline [probe] meets, to
+    [resolution] seconds (default 60), as in the paper's evaluation
+    (Section 5.3).  The upper bracket is found by doubling from
+    [lo' = max 1 lo]: the first deadline among [lo' · 2^j],
+    [j = 0 … 21], that [probe] meets, or [None] if there is none.
+    Bisection then narrows [(lo', bracket]] and returns the last met
+    midpoint, or the bracket.  For a [probe] whose feasibility is a
+    threshold [t], the answer is [lo'] when [t <= lo'] and otherwise lies
+    in [[t, t + resolution)].  No deadline is probed twice.  Each probe
+    counts in [deadline.tightest.probes].  Raises [Invalid_argument] if
+    [resolution < 1]. *)
 
 val tightest :
   ?resolution:int ->
@@ -122,15 +111,10 @@ val tightest :
   Env.t ->
   Mp_dag.Dag.t ->
   (int * Mp_cpa.Schedule.t) option
-(** [tightest algo env dag] binary-searches the smallest deadline the
-    algorithm can meet, to [resolution] seconds (default 60), as in the
-    paper's evaluation (Section 5.3).  The upper bracket is found by
-    doubling from [lo = max 1 (lower_bound env dag)]: the first feasible
-    deadline among [lo · 2^j], [j = 0 … 21], or [None] if there is none.
-    Bisection then narrows [(lo, bracket]] and returns the last feasible
-    midpoint, or the bracket.  For an algorithm whose feasibility is a
-    threshold [t], the answer is [lo] when [t <= lo] and otherwise lies
-    in [[t, t + resolution)].  No deadline is probed twice.
+(** [tightest algo env dag] is [search ~lo:(lower_bound env dag) algo]:
+    the smallest deadline the algorithm can meet.  Pass a prepared
+    closure ([Deadline.aggressive a env dag], [Algo.deadline.prepare]),
+    so every probe reuses one preparation.
 
     [?spec] is ignored.  It stays until the repository benchmark stops
     passing it; the change after that deletes it (see {!Speculate}). *)

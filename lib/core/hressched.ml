@@ -19,11 +19,13 @@ type bound_method = HBD_ALL | HBD_CPAR
 
 let bound_name = function HBD_ALL -> "HBD_ALL" | HBD_CPAR -> "HBD_CPAR"
 
-let day = 86_400
+(* The horizon over which each site's average availability is estimated
+   for the CPAR reference capacity: 7 days. *)
+let window = 7 * 86_400
 
 (* Speed-weighted average availability across the grid over the window:
    the heterogeneous analogue of the paper's historical average q. *)
-let reference_available grid ~window =
+let reference_available grid =
   let total = ref 0. in
   for s = 0 to Grid.n_sites grid - 1 do
     let site = Grid.site grid s in
@@ -37,7 +39,7 @@ let translate_alloc ~speed ~site_procs r =
   max 1 (min site_procs (int_of_float (ceil (float_of_int r /. speed))))
 
 (* Everything both passes (and every probe of [tightest]) need that
-   depends only on ⟨grid, dag, bd, window⟩: the reference allocations, the
+   depends only on ⟨grid, dag, bd⟩: the reference allocations, the
    bottom-level order, and — per ⟨site, task⟩ — the distinct-duration
    processor counts with their site-scaled durations.  Site speeds are
    immutable, so the tables stay valid as reservations accumulate. *)
@@ -48,12 +50,12 @@ type prep = {
          scan from the top index down (descending processor count) *)
 }
 
-let prepare ~bd ~window grid dag =
+let prepare ~bd grid dag =
   let nb = Dag.n dag in
   let ref_procs =
     match bd with
     | HBD_ALL -> Grid.reference_procs grid
-    | HBD_CPAR -> min (Grid.reference_procs grid) (reference_available grid ~window)
+    | HBD_CPAR -> min (Grid.reference_procs grid) (reference_available grid)
   in
   let ref_allocs = Allocation.allocate ~p:ref_procs dag in
   let weights = Allocation.weights dag ~allocs:ref_allocs in
@@ -78,9 +80,9 @@ let prepare ~bd ~window grid dag =
   in
   { order; site_cands }
 
-let schedule ?(bd = HBD_CPAR) ?(window = 7 * day) grid dag =
+let schedule ?(bd = HBD_CPAR) grid dag =
   let nb = Dag.n dag in
-  let { order; site_cands } = prepare ~bd ~window grid dag in
+  let { order; site_cands } = prepare ~bd grid dag in
   let slots = Array.make nb { site = 0; start = 0; finish = 0; procs = 0 } in
   let grid = ref grid in
   Array.iter
@@ -128,9 +130,9 @@ let schedule ?(bd = HBD_CPAR) ?(window = 7 * day) grid dag =
     order;
   { slots }
 
-let deadline_prepared ?(bd = HBD_CPAR) ?(window = 7 * day) grid dag =
+let deadline ?(bd = HBD_CPAR) grid dag =
   let nb = Dag.n dag in
-  let { order; site_cands } = prepare ~bd ~window grid dag in
+  let { order; site_cands } = prepare ~bd grid dag in
   fun ~deadline ->
     let slots = Array.make nb { site = 0; start = 0; finish = 0; procs = 0 } in
     let grid = ref grid in
@@ -186,11 +188,7 @@ let deadline_prepared ?(bd = HBD_CPAR) ?(window = 7 * day) grid dag =
     in
     go (nb - 1)
 
-let deadline ?bd ?window grid dag ~deadline =
-  deadline_prepared ?bd ?window grid dag ~deadline
-
 let tightest ?bd grid dag =
-  let prepared = deadline_prepared ?bd grid dag in
   let weights =
     (* optimistic: every task on its best site at full size *)
     Array.map
@@ -203,28 +201,9 @@ let tightest ?bd grid dag =
         float_of_int !best)
       (Dag.tasks dag)
   in
-  let lo = max 1 (int_of_float (ceil (Analysis.cp_length dag ~weights))) in
-  let rec bracket hi attempts =
-    if attempts = 0 then None
-    else begin
-      match prepared ~deadline:hi with
-      | Some sched -> Some (hi, sched)
-      | None -> bracket (hi * 2) (attempts - 1)
-    end
-  in
-  match bracket lo 22 with
-  | None -> None
-  | Some (hi0, sched0) ->
-      let rec search lo hi best =
-        if hi - lo <= 60 then best
-        else begin
-          let mid = lo + ((hi - lo) / 2) in
-          match prepared ~deadline:mid with
-          | Some sched -> search lo mid (mid, sched)
-          | None -> search mid hi best
-        end
-      in
-      Some (search lo hi0 (hi0, sched0))
+  Deadline.search
+    ~lo:(int_of_float (ceil (Analysis.cp_length dag ~weights)))
+    (deadline ?bd grid dag)
 
 let validate grid dag t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -32,37 +32,29 @@ type bound_method = HBD_ALL | HBD_CPAR
 
 val bound_name : bound_method -> string
 
-val schedule : ?bd:bound_method -> ?window:int -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> t
+val schedule : ?bd:bound_method -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> t
 (** [schedule grid dag] computes the multi-site schedule.  Default
-    [bd = HBD_CPAR]; [window] (default 7 days) is the horizon over which
-    each site's average availability is estimated for the CPAR reference
-    capacity. *)
+    [bd = HBD_CPAR], whose reference capacity is each site's average
+    availability over the next 7 days, weighted by its speed. *)
 
-val deadline :
-  ?bd:bound_method -> ?window:int -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> deadline:int -> t option
+val deadline : ?bd:bound_method -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> deadline:int -> t option
 (** Multi-site RESSCHEDDL, aggressive flavour: tasks are placed backward
     from the deadline in increasing bottom-level order; each task takes
     the ⟨site, processors, start⟩ triple with the {e latest} start that
     still finishes before its successors start (ties: fewer processors,
     lower site index).  [None] when some task cannot be placed at or
-    after time 0. *)
+    after time 0.
 
-val deadline_prepared :
-  ?bd:bound_method ->
-  ?window:int ->
-  Mp_platform.Grid.t ->
-  Mp_dag.Dag.t ->
-  deadline:int ->
-  t option
-(** Partial application at [Grid.t -> Dag.t] precomputes the
+    Partial application at [Grid.t -> Dag.t] precomputes the
     deadline-independent data (reference allocations, bottom-level order,
-    per-⟨site, task⟩ candidate counts and site-scaled durations); deadline
-    sweeps — {!tightest}'s bracket + binary search — reuse the closure
-    instead of rebuilding it per probe. *)
+    per-⟨site, task⟩ candidate counts and site-scaled durations);
+    deadline sweeps — {!tightest}'s search — reuse the closure instead of
+    rebuilding it per probe. *)
 
 val tightest : ?bd:bound_method -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> (int * t) option
-(** Binary search for the smallest feasible deadline of {!deadline}
-    (60 s resolution), as in the paper's Section 5.3 evaluation. *)
+(** The smallest feasible deadline of {!deadline}, found by
+    {!Deadline.search} (60 s resolution) from the critical-path length
+    with every task on its fastest site at full size. *)
 
 val validate : Mp_platform.Grid.t -> Mp_dag.Dag.t -> t -> (unit, string) result
 (** Feasibility: per-site capacity, precedence across sites, durations

@@ -6,11 +6,11 @@ module Schedule = Mp_cpa.Schedule
 let sp_schedule = Mp_obs.Span.make "online.schedule"
 let c_granted = Mp_obs.Counter.make "online.reservations_granted"
 
-let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) (env : Env.t) ~events dag =
+let schedule (env : Env.t) ~events dag =
   Mp_obs.Span.wrap sp_schedule @@ fun () ->
   let cpa = Mp_cpa.Allocation.per_procs dag in
-  let order = Bottom_level.order ~cpa bl env dag in
-  let bounds = Bound.bounds ~cpa bd env dag in
+  let order = Bottom_level.order ~cpa BL_CPAR env dag in
+  let bounds = Bound.bounds ~cpa BD_CPAR env dag in
   let cands =
     Array.init (Dag.n dag) (fun i ->
         Mp_dag.Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)))
@@ -50,7 +50,7 @@ let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) (env : Env.t) ~e
         Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
       in
       let s, fin, np =
-        Ressched.place_cands_txn ~kind:Mp_forensics.Journal.Online_forward cal (Dag.task dag i)
+        Ressched.place ~kind:Mp_forensics.Journal.Online_forward cal (Dag.task dag i)
           ~ready ~cands:cands.(i)
       in
       Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);

@@ -19,8 +19,6 @@
     turn-around time degrades as the mid-scheduling arrival load grows. *)
 
 val schedule :
-  ?bl:Bottom_level.method_ ->
-  ?bd:Bound.method_ ->
   Env.t ->
   events:Mp_service.Request.t list array ->
   Mp_dag.Dag.t ->
@@ -29,7 +27,8 @@ val schedule :
     order; before the [k]-th placement, every request in [events.(k)] (if
     [k] is within bounds) is offered to the calendar in list order.
     Returns the application schedule and the competitor reservations that
-    were granted.  Defaults: [bl = BL_CPAR], [bd = BD_CPAR].
+    were granted.  Bottom levels and bounds are BL_CPAR and BD_CPAR, the
+    paper's recommended RESSCHED algorithm.
 
     The returned schedule is feasible against the base calendar plus the
     granted competitor reservations (in that arrival order). *)

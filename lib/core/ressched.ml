@@ -16,8 +16,7 @@ let sp_schedule = Mp_obs.Span.make "ressched.schedule"
    {e distinct} duration is examined (the O(R·N) inner loop of the paper's
    complexity analysis; counts inside an Amdahl plateau are dominated by
    the plateau's first count and skipped, see {!Task.alloc_candidates}). *)
-let place_cands_fit ?(kind = Mp_forensics.Journal.Forward) ~fit task ~ready
-    ~(cands : Task.candidates) =
+let place ?(kind = Mp_forensics.Journal.Forward) cal task ~ready ~(cands : Task.candidates) =
   Mp_obs.Counter.incr c_tasks_placed;
   Mp_obs.Span.enter sp_place;
   (* Candidates are visited by descending processor count (ascending
@@ -49,7 +48,7 @@ let place_cands_fit ?(kind = Mp_forensics.Journal.Forward) ~fit task ~ready
             if journal then max_int
             else match best with None -> max_int | Some (_, bf, _) -> bf - dur
           in
-          match fit ~after:ready ~limit ~procs:np ~dur with
+          match Calendar.Txn.earliest_fit ~limit cal ~after:ready ~procs:np ~dur with
           | None ->
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
               go best (c - 1)
@@ -74,19 +73,6 @@ let place_cands_fit ?(kind = Mp_forensics.Journal.Forward) ~fit task ~ready
   Mp_obs.Span.exit sp_place;
   r
 
-let place_cands ?kind cal task ~ready ~cands =
-  (* The persistent query has no bounded variant; ignoring [limit] only
-     returns fits the selection below discards, never different ones. *)
-  place_cands_fit ?kind task ~ready ~cands ~fit:(fun ~after ~limit:_ ~procs ~dur ->
-      Calendar.earliest_fit cal ~after ~procs ~dur)
-
-let place_cands_txn ?kind cal task ~ready ~cands =
-  place_cands_fit ?kind task ~ready ~cands ~fit:(fun ~after ~limit ~procs ~dur ->
-      Calendar.Txn.earliest_fit ~limit cal ~after ~procs ~dur)
-
-let place ?kind cal task ~ready ~bound =
-  place_cands ?kind cal task ~ready ~cands:(Task.candidates task ~max_np:bound)
-
 let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) (env : Env.t) dag =
   if now < 0 then invalid_arg "Ressched.schedule: now < 0";
   Mp_obs.Span.wrap sp_schedule @@ fun () ->
@@ -105,7 +91,7 @@ let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) (env 
         Array.fold_left (fun acc j -> Int.max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
       in
       let cands = Task.candidates (Dag.task dag i) ~max_np:(Int.max 1 bounds.(i)) in
-      let s, fin, np = place_cands_txn cal (Dag.task dag i) ~ready ~cands in
+      let s, fin, np = place cal (Dag.task dag i) ~ready ~cands in
       Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
       slots.(i) <- { start = s; finish = fin; procs = np })
     order;

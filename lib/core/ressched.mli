@@ -35,38 +35,17 @@ val name : bl:Bottom_level.method_ -> bd:Bound.method_ -> string
 
 val place :
   ?kind:Mp_forensics.Journal.kind ->
-  Mp_platform.Calendar.t ->
-  Mp_dag.Task.t ->
-  ready:int ->
-  bound:int ->
-  int * int * int
-(** One earliest-completion placement decision: the ⟨start, finish,
-    processors⟩ pair (processors in [\[1, bound\]]) with the earliest
-    completion at or after [ready], ties toward fewer processors.  Exposed
-    for the {!Online} and ablation schedulers, which share the placement
-    rule but drive the calendar differently.  [kind] (default [Forward])
-    only tags the {!Mp_forensics.Journal} entry when journaling is on; it
-    never affects the decision.  Rebuilds the candidate table on every
-    call — callers placing the same task repeatedly should precompute
-    {!Mp_dag.Task.candidates} once and use {!place_cands}. *)
-
-val place_cands :
-  ?kind:Mp_forensics.Journal.kind ->
-  Mp_platform.Calendar.t ->
-  Mp_dag.Task.t ->
-  ready:int ->
-  cands:Mp_dag.Task.candidates ->
-  int * int * int
-(** {!place} with the candidate table supplied by the caller ([cands]
-    must come from [Task.candidates task]; the decision is identical). *)
-
-val place_cands_txn :
-  ?kind:Mp_forensics.Journal.kind ->
   Mp_platform.Calendar.Txn.t ->
   Mp_dag.Task.t ->
   ready:int ->
   cands:Mp_dag.Task.candidates ->
   int * int * int
-(** {!place_cands} against a calendar transaction instead of a persistent
-    calendar version (same decision; used by the linear scheduling loops
-    that reserve in place). *)
+(** One earliest-completion placement decision on a calendar
+    transaction: the ⟨start, finish, processors⟩ triple, over the
+    task's candidate processor counts [cands] (from
+    {!Mp_dag.Task.candidates}), with the earliest completion at or after
+    [ready], ties toward fewer processors.  Exposed for {!Online}, which
+    shares the placement rule but interleaves competing reservations
+    with the placements.  [kind] (default [Forward]) only tags the
+    {!Mp_forensics.Journal} entry when journaling is on; it never
+    affects the decision.  The caller reserves the returned slot. *)

@@ -29,7 +29,7 @@ let submit ~algo ~deadline ~q cal dag =
       let env = env ~q cal in
       match (deadline : Request.deadline_spec) with
       | By k -> (
-          match a.Algo.run env dag ~deadline:k with
+          match a.Algo.prepare env dag ~deadline:k with
           | Some schedule -> Response.Scheduled { schedule; deadline = Some k }
           | None -> Response.Infeasible { algo; deadline = Some k })
       | No_deadline | Tightest -> (
@@ -104,7 +104,7 @@ let explain ~algo ~deadline ~format ~q cal dag =
       | None -> Response.Error (Printf.sprintf "no feasible deadline found for %s" a.Algo.name)
       | Some (k, note) ->
           journaled (Printf.sprintf "algorithm %s, deadline %d s%s" a.Algo.name k note) (fun () ->
-              match a.Algo.run env dag ~deadline:k with
+              match a.Algo.prepare env dag ~deadline:k with
               | Some sched -> sched
               | None -> failwith (Printf.sprintf "deadline %d cannot be met by %s" k a.Algo.name)))
 

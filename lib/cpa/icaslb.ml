@@ -2,9 +2,12 @@ module Dag = Mp_dag.Dag
 module Task = Mp_dag.Task
 module Analysis = Mp_dag.Analysis
 
-let allocate_and_schedule ?(lookahead = 8) ~p dag =
+(* Consecutive non-improving allocation increments tolerated before the
+   search stops. *)
+let lookahead = 8
+
+let allocate_and_schedule ~p dag =
   if p < 1 then invalid_arg "Icaslb: p < 1";
-  if lookahead < 0 then invalid_arg "Icaslb: lookahead < 0";
   let nb = Dag.n dag in
   let tasks = Dag.tasks dag in
   let allocs = Array.make nb 1 in
@@ -53,4 +56,4 @@ let allocate_and_schedule ?(lookahead = 8) ~p dag =
   step 0;
   (!best_allocs, !best_sched)
 
-let schedule ?lookahead ~p dag = snd (allocate_and_schedule ?lookahead ~p dag)
+let schedule ~p dag = snd (allocate_and_schedule ~p dag)

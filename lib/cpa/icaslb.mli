@@ -13,12 +13,11 @@
 
     Provided as an extension and an ablation baseline against CPA. *)
 
-val allocate_and_schedule :
-  ?lookahead:int -> p:int -> Mp_dag.Dag.t -> int array * Schedule.t
+val allocate_and_schedule : p:int -> Mp_dag.Dag.t -> int array * Schedule.t
 (** [allocate_and_schedule ~p dag] returns the final allocations and the
-    best schedule found.  [lookahead] (default 8) is the number of
-    consecutive non-improving allocation increments tolerated before
-    stopping. *)
+    best schedule found.  The look-ahead tolerates 8 consecutive
+    non-improving allocation increments before stopping.  Raises
+    [Invalid_argument] if [p < 1]. *)
 
-val schedule : ?lookahead:int -> p:int -> Mp_dag.Dag.t -> Schedule.t
+val schedule : p:int -> Mp_dag.Dag.t -> Schedule.t
 (** Just the schedule. *)

@@ -52,7 +52,7 @@ let map dag ~allocs ~p =
   end;
   { Schedule.slots }
 
-let map_subset0 dag ~allocs ~p ~keep =
+let map_subset dag ~allocs ~p ~keep =
   match Dag.sub dag ~keep with
   | None -> None
   | Some (sub, mapping) ->
@@ -65,8 +65,6 @@ let map_subset0 dag ~allocs ~p ~keep =
         (fun new_i old_i -> if old_i >= 0 then starts.(old_i) <- Schedule.start sched new_i)
         mapping;
       Some starts
-
-let map_subset = map_subset0
 
 (* The resource-conservative backward pass consumes reference schedules of
    strict order-prefixes: at backward step [k] the unplaced set is exactly
@@ -108,7 +106,7 @@ let reference_start r k =
   while r.r_next > k do
     let k' = r.r_next - 1 in
     let i = r.r_order.(k') in
-    (match map_subset0 r.r_dag ~allocs:r.r_allocs ~p:r.r_p ~keep:r.r_keep with
+    (match map_subset r.r_dag ~allocs:r.r_allocs ~p:r.r_p ~keep:r.r_keep with
     | Some starts -> r.r_starts.(k') <- starts.(i)
     | None -> r.r_starts.(k') <- 0);
     r.r_keep.(i) <- false;

@@ -39,8 +39,6 @@ type kind =
           λ-relaxed CPA reference threshold *)
   | Online_forward  (** {!Forward} under mid-scheduling competitor arrivals *)
 
-val kind_name : kind -> string
-
 (** Why a candidate ⟨processors, start⟩ pair was (or was not) retained. *)
 type verdict =
   | Leading  (** better than every candidate seen so far (the last [Leading] wins) *)
@@ -52,8 +50,6 @@ type verdict =
           early-cut optimization) *)
   | Window_closed  (** conservative: threshold + duration already exceeds the deadline *)
   | Misses_deadline  (** conservative: earliest fit past the threshold finishes too late *)
-
-val verdict_name : verdict -> string
 
 type cand = {
   procs : int;

@@ -40,11 +40,6 @@ type sample = {
           requests admitted this window *)
 }
 
-val sample_to_json : sample -> Mp_prelude.Json.t
-(** One JSON object; [served] zero counts are dropped, the sojourn
-    histogram is sparse ([\[bucket, count\]] pairs).  Printing through
-    {!Mp_prelude.Json.to_string} is byte-deterministic. *)
-
 val to_jsonl : sample list -> string
 (** One line per sample, in the given order (the engine emits them
     sorted by ⟨t_end, site⟩). *)

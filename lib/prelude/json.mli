@@ -34,8 +34,6 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 (** Compact one-line rendering ([{"a":1,"b":[true,null]}]). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val escape : string -> string
 (** Escape a string for embedding between double quotes (["\""], ["\\"],
     ["\n"], ["\t"], ["\r"] and other control characters). *)

@@ -43,8 +43,8 @@ type t
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1] (at least 1): leave one core
-    for the caller's OS noise.  This is the default for every [?jobs]
-    argument in the library. *)
+    for the caller's OS noise.  This is the default [jobs] of
+    {!create}, {!with_pool} and {!run}. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] workers ([jobs - 1] new domains plus the

@@ -38,4 +38,3 @@ type summary = {
 val summarize : float list -> summary
 (** One-pass summary of a non-empty list. *)
 
-val pp_summary : Format.formatter -> summary -> unit

@@ -84,17 +84,14 @@ type handlers = {
           changes the calendar. *)
 }
 
-val no_handlers : handlers
-(** Both entry points answer [Error "no scheduler attached (wire
-    Mp_core.Serve.handlers)"] — the default, so the pure
-    reservation-protocol subset works without [Mp_core]. *)
-
 type t
 
 val create : ?handlers:handlers -> sites:site_spec array -> unit -> t
 (** A fresh engine over copies of the given site specs (the spec array is
     not retained).  Raises [Invalid_argument] on an empty site array.
-    Default handlers {!no_handlers}. *)
+    The default handlers answer both [Submit_dag] and [Explain] with
+    [Error "no scheduler attached (wire Mp_core.Serve.handlers)"], so the
+    pure reservation-protocol subset works without [Mp_core]. *)
 
 val handle : t -> site:int -> Request.t -> Response.t
 (** Service one request immediately (no admission control):

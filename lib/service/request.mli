@@ -75,14 +75,15 @@ type envelope = {
 
 val to_json : t -> Mp_prelude.Json.t
 val of_json : Mp_prelude.Json.t -> (t, string) result
-(** Every integer a request carries (times, sizes, DAG edges, deadlines,
-    and the envelope's [id], [site], [arrival] and [budget]) must be a
-    whole JSON number in [[-2^62, 2^62)] ({!Mp_prelude.Json.to_int});
-    anything else is an [Error], never truncated.  An optional integer
-    ([budget], an explain [deadline]) may also be [null] or absent. *)
-
-val envelope_to_json : envelope -> Mp_prelude.Json.t
-val envelope_of_json : Mp_prelude.Json.t -> (envelope, string) result
+(** A DAG travels as
+    [{"tasks":[\[seq,alpha\],...],"edges":[\[pred,succ\],...]}]: task ids
+    are implicit array positions, and floats print exactly
+    ({!Mp_prelude.Json.float_str}).  Every integer a request carries
+    (times, sizes, DAG edges, deadlines, and the envelope's [id], [site],
+    [arrival] and [budget]) must be a whole JSON number in
+    [[-2^62, 2^62)] ({!Mp_prelude.Json.to_int}); anything else is an
+    [Error], never truncated.  An optional integer ([budget], an explain
+    [deadline]) may also be [null] or absent. *)
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
@@ -92,9 +93,3 @@ val envelope_to_string : envelope -> string
 
 val envelope_of_string : string -> (envelope, string) result
 
-val dag_to_json : Mp_dag.Dag.t -> Mp_prelude.Json.t
-(** [{"tasks":[\[seq,alpha\],...],"edges":[\[pred,succ\],...]}]; task ids
-    are implicit array positions, floats print exactly
-    ({!Mp_prelude.Json.float_str}). *)
-
-val dag_of_json : Mp_prelude.Json.t -> (Mp_dag.Dag.t, string) result

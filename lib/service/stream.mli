@@ -12,10 +12,6 @@
     Weights are nonnegative and must not all be zero. *)
 type mix = { reserve : int; probe : int; cancel : int; submit : int; explain : int }
 
-val default_mix : mix
-(** Reservation-protocol heavy, with a trickle of whole-DAG work:
-    [{ reserve = 50; probe = 25; cancel = 15; submit = 8; explain = 2 }]. *)
-
 val generate :
   Mp_prelude.Rng.t ->
   ?mix:mix ->
@@ -29,7 +25,9 @@ val generate :
   Request.envelope list
 (** [generate rng ~sites ~procs ~n ()] draws [n] envelopes with ids
     [0 .. n-1], uniformly-drawn sites, and non-decreasing arrivals
-    (mean gap a few seconds).
+    (mean gap a few seconds).  The default [mix] is
+    reservation-protocol heavy, with a trickle of whole-DAG work:
+    [{ reserve = 50; probe = 25; cancel = 15; submit = 8; explain = 2 }].
 
     - [Reserve]/[Probe] requests draw a start within [horizon] (default
       86 400 s) of the arrival, a duration of minutes-to-an-hour, and

@@ -25,31 +25,11 @@ type t = {
   total_cpu_hours : float;
 }
 
-val run :
-  ?bl:Mp_core.Bottom_level.method_ ->
-  ?bd:Mp_core.Bound.method_ ->
-  Mp_core.Env.t ->
-  arrival list ->
-  t
+val run : Mp_core.Env.t -> arrival list -> t
 (** [run env arrivals] schedules the applications in arrival order (ties
-    by position), each seeing the base calendar plus all previously
+    by position) with BD_CPAR, the paper's recommended RESSCHED
+    algorithm, each seeing the base calendar plus all previously
     scheduled applications, with its tasks constrained to start no
     earlier than its arrival.  The availability estimate [q] is refreshed
     for every application from the current calendar (7-day window from
     its arrival).  Raises [Invalid_argument] on a negative arrival time. *)
-
-val run_many :
-  ?pool:Mp_prelude.Pool.t ->
-  ?jobs:int ->
-  ?bl:Mp_core.Bottom_level.method_ ->
-  ?bd:Mp_core.Bound.method_ ->
-  (Mp_core.Env.t * arrival list) list ->
-  t list
-(** [run_many campaigns] runs several {e independent} campaigns (e.g.
-    per-tenant clusters or what-if calendars), fanned over a
-    {!Mp_prelude.Pool}.  Within a campaign the calendar threading stays
-    strictly sequential; across campaigns there is no shared state, so
-    the result list is bit-identical to mapping {!run} sequentially.
-    [~pool] reuses an existing pool;
-    otherwise a transient pool of [jobs] (default
-    {!Mp_prelude.Pool.default_jobs}) workers is used. *)

@@ -43,13 +43,10 @@ let day = 86_400
 let hours s = float_of_int s /. 3600.
 let now () = Unix.gettimeofday ()
 
-(* Every driver below takes [?pool] (reuse a caller's worker pool, as
-   {!run_all} does across all tables) or [?jobs] (transient pool); the
-   fan-out itself lives in {!Runner} and {!Pool.map}, and parallel results
-   are bit-identical to [~jobs:1] — see "Parallel experiment engine" in
-   DESIGN.md. *)
-let with_pool ?pool ?jobs f =
-  match pool with Some p -> f p | None -> Pool.with_pool ?jobs f
+(* Every parallel table below takes the caller's [~pool] (reused across
+   all tables by {!run_all}); the fan-out itself lives in {!Runner} and
+   {!Pool.map}, and parallel results are bit-identical to a pool of one
+   worker — see "Parallel experiment engine" in DESIGN.md. *)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
@@ -212,33 +209,32 @@ type bl_comparison = {
   best_shares : (string * float) list;
 }
 
-let bl_comparison ?pool ?jobs scale =
+let bl_comparison ~pool scale =
   let scenarios = synthetic_scenarios scale in
   (* one work item per scenario: each returns its per-(bd) means, the
      accumulators below are filled from the ordered result list *)
   let per_scenario =
-    with_pool ?pool ?jobs (fun p ->
-        Pool.map p
-          (fun ((app : Scenario.app_spec), res) ->
-            let instances =
-              Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
-                ~n_cals:scale.n_cals
+    Pool.map pool
+      (fun ((app : Scenario.app_spec), res) ->
+        let instances =
+          Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
+            ~n_cals:scale.n_cals
+        in
+        List.map
+          (fun bd ->
+            (* mean turnaround per BL method over the scenario's instances *)
+            let mean_of bl =
+              Stats.mean
+                (List.map
+                   (fun (inst : Instance.t) ->
+                     float_of_int
+                       (Schedule.turnaround (Ressched.schedule ~bl ~bd inst.env inst.dag)))
+                   instances)
             in
-            List.map
-              (fun bd ->
-                (* mean turnaround per BL method over the scenario's instances *)
-                let mean_of bl =
-                  Stats.mean
-                    (List.map
-                       (fun (inst : Instance.t) ->
-                         float_of_int
-                           (Schedule.turnaround (Ressched.schedule ~bl ~bd inst.env inst.dag)))
-                       instances)
-                in
-                ( mean_of Bottom_level.BL_1,
-                  List.map (fun bl -> (bl, mean_of bl)) [ Bottom_level.BL_ALL; BL_CPA; BL_CPAR ] ))
-              Bound.all)
-          scenarios)
+            ( mean_of Bottom_level.BL_1,
+              List.map (fun bl -> (bl, mean_of bl)) [ Bottom_level.BL_ALL; BL_CPA; BL_CPAR ] ))
+          Bound.all)
+      scenarios
   in
   let improvements = ref [] in
   let best_counts = Hashtbl.create 4 in
@@ -274,8 +270,8 @@ let bl_comparison ?pool ?jobs scale =
     best_shares = shares;
   }
 
-let print_bl_comparison ?pool ?jobs scale =
-  let c = bl_comparison ?pool ?jobs scale in
+let print_bl_comparison ~pool scale =
+  let c = bl_comparison ~pool scale in
   Report.print ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
     ~header:[ "quantity"; "value" ]
     ~rows:
@@ -292,79 +288,76 @@ let summarize_ressched (results : Runner.ressched_result list) =
   ( Metrics.summarize (List.map (fun (r : Runner.ressched_result) -> r.tat) results),
     Metrics.summarize (List.map (fun (r : Runner.ressched_result) -> r.cpu_hours) results) )
 
-let table4 ?pool ?jobs scale =
+let table4 ~pool scale =
   let scenarios = synthetic_scenarios scale in
   let total = List.length scenarios in
   let results =
-    with_pool ?pool ?jobs (fun p ->
-        List.mapi
-          (fun k ((app : Scenario.app_spec), res) ->
-            let scenario = app.label ^ " x " ^ Scenario.res_label res in
-            let t0 = now () in
-            let instances =
-              Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
-                ~n_cals:scale.n_cals
-            in
-            let r = Runner.ressched ~pool:p ~algos:Algo.ressched_main ~scenario instances in
-            Log.info (fun m ->
-                m "table4: scenario %d/%d (%s) [%.2f s]" (k + 1) total scenario (now () -. t0));
-            r)
-          scenarios)
+    List.mapi
+      (fun k ((app : Scenario.app_spec), res) ->
+        let scenario = app.label ^ " x " ^ Scenario.res_label res in
+        let t0 = now () in
+        let instances =
+          Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
+            ~n_cals:scale.n_cals
+        in
+        let r = Runner.ressched ~pool ~algos:Algo.ressched_main ~scenario instances in
+        Log.info (fun m ->
+            m "table4: scenario %d/%d (%s) [%.2f s]" (k + 1) total scenario (now () -. t0));
+        r)
+      scenarios
   in
   summarize_ressched results
 
-let table5 ?pool ?jobs scale =
+let table5 ~pool scale =
   let apps = Scenario.sample_app_specs scale.n_app in
   let results =
-    with_pool ?pool ?jobs (fun p ->
-        List.map
-          (fun (app : Scenario.app_spec) ->
-            let scenario = app.label ^ " x Grid5000" in
-            let t0 = now () in
-            let instances =
-              Instance.grid5000 ~seed:scale.seed ~app ~n_dags:scale.n_dags ~n_cals:scale.n_cals
-            in
-            let r = Runner.ressched ~pool:p ~algos:Algo.ressched_main ~scenario instances in
-            Log.info (fun m -> m "table5: scenario %s [%.2f s]" scenario (now () -. t0));
-            r)
-          apps)
+    List.map
+      (fun (app : Scenario.app_spec) ->
+        let scenario = app.label ^ " x Grid5000" in
+        let t0 = now () in
+        let instances =
+          Instance.grid5000 ~seed:scale.seed ~app ~n_dags:scale.n_dags ~n_cals:scale.n_cals
+        in
+        let r = Runner.ressched ~pool ~algos:Algo.ressched_main ~scenario instances in
+        Log.info (fun m -> m "table5: scenario %s [%.2f s]" scenario (now () -. t0));
+        r)
+      apps
   in
   summarize_ressched results
 
 let ressched_header =
   [ "Algorithm"; "TAT deg [%]"; "TAT wins"; "CPUh deg [%]"; "CPUh wins" ]
 
-let print_table4 ?pool ?jobs scale =
-  let tat, cpu = table4 ?pool ?jobs scale in
+let print_table4 ~pool scale =
+  let tat, cpu = table4 ~pool scale in
   Report.print ~title:"Table 4: RESSCHED, synthetic reservation schedules" ~header:ressched_header
     ~rows:(Report.summary_rows tat cpu)
 
-let print_table5 ?pool ?jobs scale =
-  let tat, cpu = table5 ?pool ?jobs scale in
+let print_table5 ~pool scale =
+  let tat, cpu = table5 ~pool scale in
   Report.print ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules" ~header:ressched_header
     ~rows:(Report.summary_rows tat cpu)
 
 (* Extended: the full 16-combination BL x BD matrix (the paper only
    reports the marginals of Sections 4.3.1 and 4.3.2). *)
-let bl_bd_matrix ?pool ?jobs scale =
+let bl_bd_matrix ~pool scale =
   let scenarios = synthetic_scenarios scale in
   let results =
-    with_pool ?pool ?jobs (fun p ->
-        List.map
-          (fun ((app : Scenario.app_spec), res) ->
-            let instances =
-              Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
-                ~n_cals:scale.n_cals
-            in
-            Runner.ressched ~pool:p ~algos:Algo.ressched_all
-              ~scenario:(app.label ^ " x " ^ Scenario.res_label res)
-              instances)
-          scenarios)
+    List.map
+      (fun ((app : Scenario.app_spec), res) ->
+        let instances =
+          Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
+            ~n_cals:scale.n_cals
+        in
+        Runner.ressched ~pool ~algos:Algo.ressched_all
+          ~scenario:(app.label ^ " x " ^ Scenario.res_label res)
+          instances)
+      scenarios
   in
   summarize_ressched results
 
-let print_bl_bd_matrix ?pool ?jobs scale =
-  let tat, cpu = bl_bd_matrix ?pool ?jobs scale in
+let print_bl_bd_matrix ~pool scale =
+  let tat, cpu = bl_bd_matrix ~pool scale in
   Report.print ~title:"Extended: all 16 BL x BD combinations (RESSCHED, synthetic schedules)"
     ~header:ressched_header ~rows:(Report.summary_rows tat cpu)
 
@@ -379,74 +372,72 @@ let deadline_res_specs phi =
 
 let deadline_apps scale = Scenario.sample_app_specs (max 1 (scale.n_app / 2))
 
-let table6_column ?pool ?jobs scale ~algos specs_or_g5k =
+let table6_column ~pool scale ~algos specs_or_g5k =
   let apps = deadline_apps scale in
   let results =
-    with_pool ?pool ?jobs (fun p ->
-        match specs_or_g5k with
-        | `Synthetic specs ->
-            List.concat_map
-              (fun (app : Scenario.app_spec) ->
-                List.map
-                  (fun res ->
-                    let scenario = app.label ^ " x " ^ Scenario.res_label res in
-                    let t0 = now () in
-                    let instances =
-                      Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
-                        ~n_cals:scale.n_cals
-                    in
-                    let r = Runner.deadline ~pool:p ~algos ~scenario instances in
-                    Log.info (fun m -> m "deadline scenario %s [%.2f s]" scenario (now () -. t0));
-                    r)
-                  specs)
-              apps
-        | `Grid5000 ->
+    match specs_or_g5k with
+    | `Synthetic specs ->
+        List.concat_map
+          (fun (app : Scenario.app_spec) ->
             List.map
-              (fun (app : Scenario.app_spec) ->
-                let scenario = app.label ^ " x Grid5000" in
+              (fun res ->
+                let scenario = app.label ^ " x " ^ Scenario.res_label res in
                 let t0 = now () in
                 let instances =
-                  Instance.grid5000 ~seed:scale.seed ~app ~n_dags:scale.n_dags
+                  Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags
                     ~n_cals:scale.n_cals
                 in
-                let r = Runner.deadline ~pool:p ~algos ~scenario instances in
+                let r = Runner.deadline ~pool ~algos ~scenario instances in
                 Log.info (fun m -> m "deadline scenario %s [%.2f s]" scenario (now () -. t0));
                 r)
-              apps)
+              specs)
+          apps
+    | `Grid5000 ->
+        List.map
+          (fun (app : Scenario.app_spec) ->
+            let scenario = app.label ^ " x Grid5000" in
+            let t0 = now () in
+            let instances =
+              Instance.grid5000 ~seed:scale.seed ~app ~n_dags:scale.n_dags
+                ~n_cals:scale.n_cals
+            in
+            let r = Runner.deadline ~pool ~algos ~scenario instances in
+            Log.info (fun m -> m "deadline scenario %s [%.2f s]" scenario (now () -. t0));
+            r)
+          apps
   in
   ( Metrics.summarize (List.map (fun (r : Runner.deadline_result) -> r.tightest) results),
     Metrics.summarize (List.map (fun (r : Runner.deadline_result) -> r.loose_cpu_hours) results) )
 
-let table6 ?pool ?jobs scale =
-  with_pool ?pool ?jobs (fun p ->
-      let algos = Algo.deadline_main in
-      List.map
-        (fun phi ->
-          let tight, cpu = table6_column ~pool:p scale ~algos (`Synthetic (deadline_res_specs phi)) in
-          (Printf.sprintf "phi=%.1f" phi, tight, cpu))
-        Scenario.phis
-      @ [
-          (let tight, cpu = table6_column ~pool:p scale ~algos `Grid5000 in
-           ("Grid5000", tight, cpu));
-        ])
+let table6 ~pool scale =
+  let algos = Algo.deadline_main in
+  List.map
+    (fun phi ->
+      let tight, cpu = table6_column ~pool scale ~algos (`Synthetic (deadline_res_specs phi)) in
+      (Printf.sprintf "phi=%.1f" phi, tight, cpu))
+    Scenario.phis
+  @ [
+      (let tight, cpu = table6_column ~pool scale ~algos `Grid5000 in
+       ("Grid5000", tight, cpu));
+    ]
 
 let deadline_header =
   [ "Algorithm"; "tightest deg [%]"; "wins"; "CPUh@loose deg [%]"; "wins" ]
 
-let print_table6 ?pool ?jobs scale =
+let print_table6 ~pool scale =
   List.iter
     (fun (label, tight, cpu) ->
       Report.print
         ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
         ~header:deadline_header ~rows:(Report.summary_rows tight cpu);
       print_newline ())
-    (table6 ?pool ?jobs scale)
+    (table6 ~pool scale)
 
-let table7 ?pool ?jobs scale =
-  table6_column ?pool ?jobs scale ~algos:Algo.deadline_hybrid `Grid5000
+let table7 ~pool scale =
+  table6_column ~pool scale ~algos:Algo.deadline_hybrid `Grid5000
 
-let print_table7 ?pool ?jobs scale =
-  let tight, cpu = table7 ?pool ?jobs scale in
+let print_table7 ~pool scale =
+  let tight, cpu = table7 ~pool scale in
   Report.print ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
     ~header:deadline_header ~rows:(Report.summary_rows tight cpu)
 
@@ -455,47 +446,46 @@ let print_table7 ?pool ?jobs scale =
    golden-file regression test renders it at {!tiny} scale, so formatting
    or algorithm drift shows up in [dune runtest] instead of only in the
    checked-in artifact. *)
-let standard_tables ?pool ?jobs scale =
-  with_pool ?pool ?jobs (fun p ->
-      let buf = Buffer.create 4096 in
-      let tat4, cpu4 = table4 ~pool:p scale in
-      Buffer.add_string buf
-        (Report.render ~title:"Table 4: RESSCHED, synthetic reservation schedules"
-           ~header:ressched_header ~rows:(Report.summary_rows tat4 cpu4));
-      Buffer.add_string buf "===T5===\n";
-      let tat5, cpu5 = table5 ~pool:p scale in
-      Buffer.add_string buf
-        (Report.render ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules"
-           ~header:ressched_header ~rows:(Report.summary_rows tat5 cpu5));
-      Buffer.add_string buf "===T6===\n";
-      List.iter
-        (fun (label, tight, cpu) ->
-          Buffer.add_string buf
-            (Report.render
-               ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
-               ~header:deadline_header ~rows:(Report.summary_rows tight cpu));
-          Buffer.add_char buf '\n')
-        (table6 ~pool:p scale);
-      Buffer.add_string buf "===T7===\n";
-      let tight7, cpu7 = table7 ~pool:p scale in
-      Buffer.add_string buf
-        (Report.render ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
-           ~header:deadline_header ~rows:(Report.summary_rows tight7 cpu7));
-      Buffer.add_string buf "===BL===\n";
-      let c = bl_comparison ~pool:p scale in
+let standard_tables ~pool scale =
+  let buf = Buffer.create 4096 in
+  let tat4, cpu4 = table4 ~pool scale in
+  Buffer.add_string buf
+    (Report.render ~title:"Table 4: RESSCHED, synthetic reservation schedules"
+       ~header:ressched_header ~rows:(Report.summary_rows tat4 cpu4));
+  Buffer.add_string buf "===T5===\n";
+  let tat5, cpu5 = table5 ~pool scale in
+  Buffer.add_string buf
+    (Report.render ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules"
+       ~header:ressched_header ~rows:(Report.summary_rows tat5 cpu5));
+  Buffer.add_string buf "===T6===\n";
+  List.iter
+    (fun (label, tight, cpu) ->
       Buffer.add_string buf
         (Report.render
-           ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
-           ~header:[ "quantity"; "value" ]
-           ~rows:
-             ([
-                [ "min improvement [%]"; Report.f2 c.improvement_min ];
-                [ "max improvement [%]"; Report.f2 c.improvement_max ];
-              ]
-             @ List.map
-                 (fun (name, s) -> [ name ^ " best share [%]"; Report.f1 (s *. 100.) ])
-                 c.best_shares));
-      Buffer.contents buf)
+           ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
+           ~header:deadline_header ~rows:(Report.summary_rows tight cpu));
+      Buffer.add_char buf '\n')
+    (table6 ~pool scale);
+  Buffer.add_string buf "===T7===\n";
+  let tight7, cpu7 = table7 ~pool scale in
+  Buffer.add_string buf
+    (Report.render ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
+       ~header:deadline_header ~rows:(Report.summary_rows tight7 cpu7));
+  Buffer.add_string buf "===BL===\n";
+  let c = bl_comparison ~pool scale in
+  Buffer.add_string buf
+    (Report.render
+       ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
+       ~header:[ "quantity"; "value" ]
+       ~rows:
+         ([
+            [ "min improvement [%]"; Report.f2 c.improvement_min ];
+            [ "max improvement [%]"; Report.f2 c.improvement_max ];
+          ]
+         @ List.map
+             (fun (name, s) -> [ name ^ " best share [%]"; Report.f1 (s *. 100.) ])
+             c.best_shares));
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Table 8 (static) *)
@@ -554,7 +544,7 @@ let timed_algorithms (instances : Instance.t list) =
     ( a.name,
       fun () ->
         List.iter2
-          (fun (inst : Instance.t) deadline -> ignore (a.run inst.env inst.dag ~deadline))
+          (fun (inst : Instance.t) deadline -> ignore (a.prepare inst.env inst.dag ~deadline))
           instances deadlines )
   in
   List.map res Algo.ressched_main @ List.map dl Algo.deadline_all
@@ -652,7 +642,7 @@ let print_allocator_ablation scale =
 
 type blind_row = { budget : int; avg_turnaround_penalty : float; avg_probes_per_task : float }
 
-let blind_ablation ?pool ?jobs scale =
+let blind_ablation ~pool scale =
   let apps = Scenario.sample_app_specs (max 2 (scale.n_app / 2)) in
   (* the busiest synthetic setting: dense near-term reservations make the
      probe budget actually matter *)
@@ -663,43 +653,42 @@ let blind_ablation ?pool ?jobs scale =
         Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags ~n_cals:scale.n_cals)
       apps
   in
-  with_pool ?pool ?jobs (fun p ->
-      let baselines =
-        Pool.map p
-          (fun (inst : Instance.t) ->
-            float_of_int (Schedule.turnaround (Ressched.schedule inst.env inst.dag)))
-          instances
+  let baselines =
+    Pool.map pool
+      (fun (inst : Instance.t) ->
+        float_of_int (Schedule.turnaround (Ressched.schedule inst.env inst.dag)))
+      instances
+  in
+  let cases = List.combine instances baselines in
+  List.map
+    (fun budget ->
+      let penalties, probe_rates =
+        List.split
+          (Pool.map pool
+             (fun ((inst : Instance.t), baseline) ->
+               let cal = inst.env.calendar in
+               let engine =
+                 Mp_service.Engine.create
+                   ~sites:[| { Mp_service.Engine.calendar = cal; q = Calendar.procs cal } |]
+                   ()
+               in
+               let sched, requests =
+                 Mp_core.Blind.schedule ~budget ~q:inst.env.q ~engine inst.dag
+               in
+               let tat = float_of_int (Schedule.turnaround sched) in
+               ( (tat -. baseline) /. baseline *. 100.,
+                 float_of_int requests /. float_of_int (Mp_dag.Dag.n inst.dag) ))
+             cases)
       in
-      let cases = List.combine instances baselines in
-      List.map
-        (fun budget ->
-          let penalties, probe_rates =
-            List.split
-              (Pool.map p
-                 (fun ((inst : Instance.t), baseline) ->
-                   let cal = inst.env.calendar in
-                   let engine =
-                     Mp_service.Engine.create
-                       ~sites:[| { Mp_service.Engine.calendar = cal; q = Calendar.procs cal } |]
-                       ()
-                   in
-                   let sched, requests =
-                     Mp_core.Blind.schedule ~budget ~q:inst.env.q ~engine inst.dag
-                   in
-                   let tat = float_of_int (Schedule.turnaround sched) in
-                   ( (tat -. baseline) /. baseline *. 100.,
-                     float_of_int requests /. float_of_int (Mp_dag.Dag.n inst.dag) ))
-                 cases)
-          in
-          {
-            budget;
-            avg_turnaround_penalty = Stats.mean penalties;
-            avg_probes_per_task = Stats.mean probe_rates;
-          })
-        [ 1; 2; 4; 8; 16; 32; 128; 512 ])
+      {
+        budget;
+        avg_turnaround_penalty = Stats.mean penalties;
+        avg_probes_per_task = Stats.mean probe_rates;
+      })
+    [ 1; 2; 4; 8; 16; 32; 128; 512 ]
 
-let print_blind_ablation ?pool ?jobs scale =
-  let rows = blind_ablation ?pool ?jobs scale in
+let print_blind_ablation ~pool scale =
+  let rows = blind_ablation ~pool scale in
   Report.print
     ~title:"Ablation: trial-and-error scheduling (no calendar visibility) vs omniscient BD_CPAR"
     ~header:[ "probe budget"; "turn-around penalty [%]"; "probes per task" ]
@@ -783,7 +772,7 @@ type icaslb_row = { bound_name : string; avg_turnaround_h : float; avg_cpu_hours
 
 (* Paper section 7, first future-work direction: replace CPA by iCASLB as
    the source of allocation bounds. *)
-let icaslb_ablation ?pool ?jobs scale =
+let icaslb_ablation ~pool scale =
   let apps = Scenario.sample_app_specs (max 2 (scale.n_app / 2)) in
   let res = { Scenario.log = Log_model.ctc_sp2; phi = 0.2; method_ = Reservation_gen.Expo } in
   let instances =
@@ -792,25 +781,24 @@ let icaslb_ablation ?pool ?jobs scale =
         Instance.synthetic ~seed:scale.seed ~app ~res ~n_dags:scale.n_dags ~n_cals:scale.n_cals)
       apps
   in
-  with_pool ?pool ?jobs (fun p ->
-      List.map
-        (fun bd ->
-          let tats, cpus =
-            List.split
-              (Pool.map p
-                 (fun (inst : Instance.t) ->
-                   let sched = Ressched.schedule ~bd inst.env inst.dag in
-                   (hours (Schedule.turnaround sched), Schedule.cpu_hours sched))
-                 instances)
-          in
-          {
-            bound_name = Bound.name bd;
-            avg_turnaround_h = Stats.mean tats;
-            avg_cpu_hours = Stats.mean cpus;
-          })
-        [ Bound.BD_ONE; BD_CPA; BD_ICASLB; BD_CPAR; BD_ICASLBR ])
+  List.map
+    (fun bd ->
+      let tats, cpus =
+        List.split
+          (Pool.map pool
+             (fun (inst : Instance.t) ->
+               let sched = Ressched.schedule ~bd inst.env inst.dag in
+               (hours (Schedule.turnaround sched), Schedule.cpu_hours sched))
+             instances)
+      in
+      {
+        bound_name = Bound.name bd;
+        avg_turnaround_h = Stats.mean tats;
+        avg_cpu_hours = Stats.mean cpus;
+      })
+    [ Bound.BD_ONE; BD_CPA; BD_ICASLB; BD_CPAR; BD_ICASLBR ]
 
-let print_icaslb_ablation ?pool ?jobs scale =
+let print_icaslb_ablation ~pool scale =
   Report.print
     ~title:"Ablation: allocation-bound sources (rigid / CPA / iCASLB; RESSCHED)"
     ~header:[ "bound source"; "avg turn-around [h]"; "avg CPU-hours" ]
@@ -818,7 +806,7 @@ let print_icaslb_ablation ?pool ?jobs scale =
       (List.map
          (fun (r : icaslb_row) ->
            [ r.bound_name; Report.f2 r.avg_turnaround_h; Report.f1 r.avg_cpu_hours ])
-         (icaslb_ablation ?pool ?jobs scale))
+         (icaslb_ablation ~pool scale))
 
 type hetero_row = {
   hbd : string;
@@ -902,7 +890,7 @@ type pareto_row = { slack : float; rows : (string * float) list }
 (* CPU-hours as a function of deadline looseness: the resource-conservative
    value proposition quantified across the whole slack axis rather than at
    the paper's single "50% looser" point. *)
-let pareto_ablation ?pool ?jobs scale =
+let pareto_ablation ~pool scale =
   let apps = Scenario.sample_app_specs (max 2 (scale.n_app / 2)) in
   let instances =
     List.concat_map
@@ -910,48 +898,47 @@ let pareto_ablation ?pool ?jobs scale =
       apps
   in
   let algos = Algo.deadline_hybrid in
-  with_pool ?pool ?jobs (fun p ->
-      (* per instance: the latest tightest deadline across algorithms anchors
-         the slack axis *)
-      let prepared =
-        Pool.map p
-          (fun (inst : Instance.t) ->
-            let per_algo =
-              List.map (fun (a : Algo.deadline) -> (a, a.prepare inst.env inst.dag)) algos
+  (* per instance: the latest tightest deadline across algorithms anchors
+     the slack axis *)
+  let prepared =
+    Pool.map pool
+      (fun (inst : Instance.t) ->
+        let per_algo =
+          List.map (fun (a : Algo.deadline) -> (a, a.prepare inst.env inst.dag)) algos
+        in
+        let tight =
+          List.fold_left
+            (fun acc (_, algo) ->
+              match Deadline.tightest algo inst.env inst.dag with
+              | Some (k, _) -> max acc k
+              | None -> acc)
+            1 per_algo
+        in
+        (per_algo, tight))
+      instances
+  in
+  List.map
+    (fun slack ->
+      let rows =
+        List.map
+          (fun (a : Algo.deadline) ->
+            let cpus =
+              List.filter_map Fun.id
+                (Pool.map pool
+                   (fun (per_algo, tight) ->
+                     let deadline = int_of_float (ceil (slack *. float_of_int tight)) in
+                     let algo = List.assq a per_algo in
+                     Option.map Schedule.cpu_hours (algo ~deadline))
+                   prepared)
             in
-            let tight =
-              List.fold_left
-                (fun acc (_, algo) ->
-                  match Deadline.tightest algo inst.env inst.dag with
-                  | Some (k, _) -> max acc k
-                  | None -> acc)
-                1 per_algo
-            in
-            (per_algo, tight))
-          instances
+            (a.name, if cpus = [] then infinity else Stats.mean cpus))
+          algos
       in
-      List.map
-        (fun slack ->
-          let rows =
-            List.map
-              (fun (a : Algo.deadline) ->
-                let cpus =
-                  List.filter_map Fun.id
-                    (Pool.map p
-                       (fun (per_algo, tight) ->
-                         let deadline = int_of_float (ceil (slack *. float_of_int tight)) in
-                         let algo = List.assq a per_algo in
-                         Option.map Schedule.cpu_hours (algo ~deadline))
-                       prepared)
-                in
-                (a.name, if cpus = [] then infinity else Stats.mean cpus))
-              algos
-          in
-          { slack; rows })
-        [ 1.0; 1.25; 1.5; 2.0; 3.0; 5.0 ])
+      { slack; rows })
+    [ 1.0; 1.25; 1.5; 2.0; 3.0; 5.0 ]
 
-let print_pareto_ablation ?pool ?jobs scale =
-  let results = pareto_ablation ?pool ?jobs scale in
+let print_pareto_ablation ~pool scale =
+  let results = pareto_ablation ~pool scale in
   let header =
     "deadline / tightest" :: (match results with [] -> [] | r :: _ -> List.map fst r.rows)
   in
@@ -1032,7 +1019,7 @@ let inflate dag factor =
   in
   Mp_dag.Dag.make tasks (Mp_dag.Dag.edges dag)
 
-let estimate_ablation ?pool ?jobs scale =
+let estimate_ablation ~pool scale =
   let apps = Scenario.sample_app_specs (max 2 (scale.n_app / 2)) in
   let instances =
     List.concat_map
@@ -1042,29 +1029,28 @@ let estimate_ablation ?pool ?jobs scale =
   let algos =
     [ ("BD_ALL", Bound.BD_ALL); ("BD_CPA", Bound.BD_CPA); ("BD_CPAR", Bound.BD_CPAR) ]
   in
-  with_pool ?pool ?jobs (fun p ->
-      List.map
-        (fun factor ->
-          let rows =
-            List.map
-              (fun (name, bd) ->
-                let tats, cpus =
-                  List.split
-                    (Pool.map p
-                       (fun (inst : Instance.t) ->
-                         let dag = inflate inst.dag factor in
-                         let sched = Ressched.schedule ~bd inst.env dag in
-                         (hours (Schedule.turnaround sched), Schedule.cpu_hours sched))
-                       instances)
-                in
-                (name, Stats.mean tats, Stats.mean cpus))
-              algos
-          in
-          { factor; rows })
-        [ 1.0; 1.2; 1.5; 2.0 ])
+  List.map
+    (fun factor ->
+      let rows =
+        List.map
+          (fun (name, bd) ->
+            let tats, cpus =
+              List.split
+                (Pool.map pool
+                   (fun (inst : Instance.t) ->
+                     let dag = inflate inst.dag factor in
+                     let sched = Ressched.schedule ~bd inst.env dag in
+                     (hours (Schedule.turnaround sched), Schedule.cpu_hours sched))
+                   instances)
+            in
+            (name, Stats.mean tats, Stats.mean cpus))
+          algos
+      in
+      { factor; rows })
+    [ 1.0; 1.2; 1.5; 2.0 ]
 
-let print_estimate_ablation ?pool ?jobs scale =
-  let results = estimate_ablation ?pool ?jobs scale in
+let print_estimate_ablation ~pool scale =
+  let results = estimate_ablation ~pool scale in
   let header =
     "factor"
     :: List.concat_map (fun (name, _, _) -> [ name ^ " TAT[h]"; name ^ " CPUh" ])
@@ -1081,40 +1067,38 @@ let print_estimate_ablation ?pool ?jobs scale =
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ?jobs scale =
-  (* one pool for every table: worker domains are spawned once *)
-  Pool.with_pool ?jobs (fun pool ->
-      print_table2 scale;
-      print_newline ();
-      print_table3 scale;
-      print_newline ();
-      print_bl_comparison ~pool scale;
-      print_newline ();
-      print_table4 ~pool scale;
-      print_newline ();
-      print_table5 ~pool scale;
-      print_newline ();
-      print_table6 ~pool scale;
-      print_table7 ~pool scale;
-      print_newline ();
-      print_table8 ();
-      print_newline ();
-      print_table9 scale;
-      print_newline ();
-      print_table10 scale;
-      print_newline ();
-      print_allocator_ablation scale;
-      print_newline ();
-      print_blind_ablation ~pool scale;
-      print_newline ();
-      print_online_ablation scale;
-      print_newline ();
-      print_hetero_ablation scale;
-      print_newline ();
-      print_icaslb_ablation ~pool scale;
-      print_newline ();
-      print_reservation_impact scale;
-      print_newline ();
-      print_pareto_ablation ~pool scale;
-      print_newline ();
-      print_estimate_ablation ~pool scale)
+let run_all ~pool scale =
+  print_table2 scale;
+  print_newline ();
+  print_table3 scale;
+  print_newline ();
+  print_bl_comparison ~pool scale;
+  print_newline ();
+  print_table4 ~pool scale;
+  print_newline ();
+  print_table5 ~pool scale;
+  print_newline ();
+  print_table6 ~pool scale;
+  print_table7 ~pool scale;
+  print_newline ();
+  print_table8 ();
+  print_newline ();
+  print_table9 scale;
+  print_newline ();
+  print_table10 scale;
+  print_newline ();
+  print_allocator_ablation scale;
+  print_newline ();
+  print_blind_ablation ~pool scale;
+  print_newline ();
+  print_online_ablation scale;
+  print_newline ();
+  print_hetero_ablation scale;
+  print_newline ();
+  print_icaslb_ablation ~pool scale;
+  print_newline ();
+  print_reservation_impact scale;
+  print_newline ();
+  print_pareto_ablation ~pool scale;
+  print_newline ();
+  print_estimate_ablation ~pool scale

@@ -8,13 +8,14 @@
     what a quick benchmark run should do; {!quick} and {!standard} are
     reduced but shape-preserving, {!paper} is the full design.
 
-    Every simulation driver accepts [?pool] (reuse a caller's
-    {!Mp_prelude.Pool} across tables, as {!run_all} does) or [?jobs]
-    (transient pool; default {!Mp_prelude.Pool.default_jobs}).  Parallel
-    results are bit-identical to [~jobs:1]: work is assigned statically
-    and merged in item order — see "Parallel experiment engine" in
-    DESIGN.md.  Per-scenario wall-clock is reported on the
-    [mpres.experiments] log source at info level. *)
+    Every parallel table and ablation fans its work over the caller's
+    [~pool] (a {!Mp_prelude.Pool}, which {!run_all} reuses across
+    tables); the others run on the calling domain.  Parallel
+    results are bit-identical to a pool of one worker: the work-stealing
+    pool may run an item on any worker, but results merge in item order
+    — see "Parallel experiment engine" in DESIGN.md.  Per-scenario
+    wall-clock is reported on the [mpres.experiments] log source at info
+    level. *)
 
 type scale = {
   seed : int;
@@ -77,43 +78,43 @@ type bl_comparison = {
       (** fraction of (scenario × bounding) cases each BL method wins *)
 }
 
-val bl_comparison : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> bl_comparison
-val print_bl_comparison : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val bl_comparison : pool:Mp_prelude.Pool.t -> scale -> bl_comparison
+val print_bl_comparison : pool:Mp_prelude.Pool.t -> scale -> unit
 
 (** {1 Tables 4 and 5 — RESSCHED} *)
 
-val table4 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> Metrics.row list * Metrics.row list
+val table4 : pool:Mp_prelude.Pool.t -> scale -> Metrics.row list * Metrics.row list
 (** Synthetic reservation schedules; (turn-around rows, CPU-hour rows). *)
 
-val print_table4 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_table4 : pool:Mp_prelude.Pool.t -> scale -> unit
 
-val table5 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> Metrics.row list * Metrics.row list
+val table5 : pool:Mp_prelude.Pool.t -> scale -> Metrics.row list * Metrics.row list
 (** Grid'5000-style reservation schedules. *)
 
-val print_table5 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_table5 : pool:Mp_prelude.Pool.t -> scale -> unit
 
-val bl_bd_matrix : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> Metrics.row list * Metrics.row list
+val bl_bd_matrix : pool:Mp_prelude.Pool.t -> scale -> Metrics.row list * Metrics.row list
 (** Extended experiment: every one of the 16 BL_x_BD_y combinations on
     synthetic reservation schedules (the paper reports only the BL and BD
     marginals). *)
 
-val print_bl_bd_matrix : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_bl_bd_matrix : pool:Mp_prelude.Pool.t -> scale -> unit
 
 (** {1 Tables 6 and 7 — RESSCHEDDL} *)
 
-val table6 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> (string * Metrics.row list * Metrics.row list) list
+val table6 : pool:Mp_prelude.Pool.t -> scale -> (string * Metrics.row list * Metrics.row list) list
 (** One triple per column group: ["phi=0.1"], ["phi=0.2"], ["phi=0.5"]
     (SDSC_BLUE log, as in the paper) and ["Grid5000"]; each carries
     (tightest-deadline rows, loose-deadline CPU-hour rows). *)
 
-val print_table6 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_table6 : pool:Mp_prelude.Pool.t -> scale -> unit
 
-val table7 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> Metrics.row list * Metrics.row list
+val table7 : pool:Mp_prelude.Pool.t -> scale -> Metrics.row list * Metrics.row list
 (** Hybrid-λ algorithms on Grid'5000-style schedules. *)
 
-val print_table7 : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_table7 : pool:Mp_prelude.Pool.t -> scale -> unit
 
-val standard_tables : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> string
+val standard_tables : pool:Mp_prelude.Pool.t -> scale -> string
 (** The exact text of the [standard_tables.out] artifact at the given
     scale: Tables 4-7 and the Section 4.3.1 comparison separated by
     [===T5===]/[===T6===]/[===T7===]/[===BL===] markers.  The test suite
@@ -161,12 +162,12 @@ type blind_row = {
   avg_probes_per_task : float;
 }
 
-val blind_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> blind_row list
+val blind_ablation : pool:Mp_prelude.Pool.t -> scale -> blind_row list
 (** Cost of scheduling {e without} calendar visibility (Section 3.2.2's
     trial-and-error variant, [Mp_core.Blind]): turn-around penalty versus
     the omniscient scheduler as the per-task probe budget grows. *)
 
-val print_blind_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_blind_ablation : pool:Mp_prelude.Pool.t -> scale -> unit
 
 type online_row = {
   arrivals_per_step : float;
@@ -184,12 +185,12 @@ val print_online_ablation : scale -> unit
 
 type icaslb_row = { bound_name : string; avg_turnaround_h : float; avg_cpu_hours : float }
 
-val icaslb_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> icaslb_row list
+val icaslb_ablation : pool:Mp_prelude.Pool.t -> scale -> icaslb_row list
 (** The paper's first future-work direction: use iCASLB instead of CPA to
     compute the allocation bounds ([Bound.BD_ICASLB]/[BD_ICASLBR]),
     compared against BD_CPA/BD_CPAR on reserved clusters. *)
 
-val print_icaslb_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_icaslb_ablation : pool:Mp_prelude.Pool.t -> scale -> unit
 
 type hetero_row = {
   hbd : string;
@@ -222,12 +223,12 @@ val print_reservation_impact : scale -> unit
 
 type pareto_row = { slack : float; rows : (string * float) list }
 
-val pareto_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> pareto_row list
+val pareto_ablation : pool:Mp_prelude.Pool.t -> scale -> pareto_row list
 (** CPU-hours of the main deadline algorithms as the deadline loosens from
     the tightest achievable (slack 1.0) to 5x — the full curve behind the
     paper's single loose-deadline column. *)
 
-val print_pareto_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_pareto_ablation : pool:Mp_prelude.Pool.t -> scale -> unit
 
 type estimate_row = {
   factor : float;  (** execution-time over-estimation factor *)
@@ -236,14 +237,15 @@ type estimate_row = {
           reservations are paid for their full (over-estimated) length *)
 }
 
-val estimate_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> estimate_row list
+val estimate_ablation : pool:Mp_prelude.Pool.t -> scale -> estimate_row list
 (** Impact of pessimistic execution-time estimates (Section 3.1 leaves
     this out of scope but predicts that all algorithms degrade similarly):
     task reservations are made for [factor] × the true execution time, so
     both turn-around time and the CPU-hours billed grow with the
     pessimism. *)
 
-val print_estimate_ablation : ?pool:Mp_prelude.Pool.t -> ?jobs:int -> scale -> unit
+val print_estimate_ablation : pool:Mp_prelude.Pool.t -> scale -> unit
 
-val run_all : ?jobs:int -> scale -> unit
-(** Print every table at the given scale, plus the ablations. *)
+val run_all : pool:Mp_prelude.Pool.t -> scale -> unit
+(** Print every table at the given scale, plus the ablations; the
+    parallel ones share [pool]. *)

@@ -6,10 +6,8 @@
     sequential run whatever the worker count: every cell computes from the
     instance's own immutable environment and writes into its own result
     slot, and slots are merged in cell order (see the determinism notes in
-    DESIGN.md).  Pass [~pool] to reuse a pool across scenarios, or
-    [~jobs] to run on a transient pool; with neither, a transient pool of
-    {!Mp_prelude.Pool.default_jobs} workers is used.  [~jobs:1] is the
-    sequential reference. *)
+    DESIGN.md).  The caller owns [~pool] and may reuse it across
+    scenarios; a pool of one worker is the sequential reference. *)
 
 type ressched_result = {
   tat : Metrics.scenario_result;  (** turn-around time, seconds *)
@@ -23,8 +21,7 @@ type deadline_result = {
 
 val ressched :
   ?validate:bool ->
-  ?pool:Mp_prelude.Pool.t ->
-  ?jobs:int ->
+  pool:Mp_prelude.Pool.t ->
   algos:Mp_core.Algo.ressched list ->
   scenario:string ->
   Instance.t list ->
@@ -39,9 +36,7 @@ val ressched :
 
 val deadline :
   ?validate:bool ->
-  ?pool:Mp_prelude.Pool.t ->
-  ?jobs:int ->
-  ?loose_factor:float ->
+  pool:Mp_prelude.Pool.t ->
   algos:Mp_core.Algo.deadline list ->
   scenario:string ->
   Instance.t list ->
@@ -49,8 +44,8 @@ val deadline :
 (** [deadline ~algos ~scenario instances] evaluates deadline algorithms as
     in Section 5.3: for each instance, each algorithm's {e tightest
     achievable deadline} is found by binary search; then each algorithm is
-    re-run with a {e loose} deadline ([loose_factor] × the latest tightest
-    deadline across algorithms, default 1.5) and its CPU-hours recorded.
+    re-run with a {e loose} deadline (1.5 × the latest tightest deadline
+    across algorithms) and its CPU-hours recorded.
     An algorithm that fails even at the loose deadline falls back to its
     tightest-deadline schedule's CPU-hours.  The two phases are each
     fanned over the pool; the loose deadline of an instance couples its

@@ -20,9 +20,6 @@ val app_specs : app_spec list
     e.g. ["n=25"], ["width=0.3"].  The default configuration appears once
     per swept parameter, as in the paper. *)
 
-val default_app : app_spec
-(** All parameters at their Table 1 defaults. *)
-
 val phis : float list
 (** Tagging fractions: 0.1, 0.2, 0.5. *)
 

@@ -17,11 +17,9 @@ type t = {
   jobs : Job.t list;  (** every job carries a start time *)
 }
 
-val default_cpus : int
-
 val generate : Mp_prelude.Rng.t -> ?cpus:int -> ?days:int -> ?load:float -> unit -> t
 (** [generate rng ()] draws a reservation log spanning [days] (default 60)
-    days on [cpus] processors with average utilization [load] (default
+    days on [cpus] (default 368) processors with average utilization [load] (default
     0.30, matching a moderately used site).  Requested start times that
     would overcommit the site are pushed back to the earliest feasible
     time, as a reservation system would. *)

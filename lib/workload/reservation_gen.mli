@@ -57,5 +57,3 @@ val historical_average : t -> float
     paper's [q], used by the *_CPAR algorithm variants.  Falls back to the
     future window when no past reservations exist. *)
 
-val horizon_days : int
-(** The 7-day reshaping horizon. *)

@@ -248,7 +248,7 @@ let test_deadline_meets_deadline () =
   let loose = 4 * Schedule.turnaround (Ressched.schedule env dag) in
   List.iter
     (fun (a : Algo.deadline) ->
-      match a.run env dag ~deadline:loose with
+      match a.prepare env dag ~deadline:loose with
       | Some sched -> check_valid env dag ~deadline:loose sched
       | None -> Alcotest.failf "%s failed a loose deadline" a.name)
     robust_deadline_algos;
@@ -256,7 +256,7 @@ let test_deadline_meets_deadline () =
      valid *)
   List.iter
     (fun algo ->
-      match Deadline.resource_conservative algo env dag ~deadline:loose with
+      match Deadline.resource_conservative algo env dag ~lambda:0. ~deadline:loose with
       | Some sched -> check_valid env dag ~deadline:loose sched
       | None -> ())
     [ Deadline.DL_RC_CPA; DL_RC_CPAR ]
@@ -268,7 +268,7 @@ let test_deadline_impossible () =
   let k = Deadline.lower_bound env dag / 2 in
   List.iter
     (fun (a : Algo.deadline) ->
-      match a.run env dag ~deadline:k with
+      match a.prepare env dag ~deadline:k with
       | Some _ -> Alcotest.failf "%s met an impossible deadline" a.name
       | None -> ())
     Algo.deadline_all
@@ -306,7 +306,7 @@ let test_deadline_tightest_is_feasible () =
   let dag = random_dag 28 in
   List.iter
     (fun (a : Algo.deadline) ->
-      match Deadline.tightest (fun ~deadline -> a.run env dag ~deadline) env dag with
+      match Deadline.tightest (a.prepare env dag) env dag with
       | Some (k, sched) ->
           check_valid env dag ~deadline:k sched;
           (* tightest cannot beat the absolute lower bound *)
@@ -314,10 +314,26 @@ let test_deadline_tightest_is_feasible () =
       | None -> Alcotest.failf "%s found no feasible deadline" a.name)
     robust_deadline_algos
 
+let test_tightest_from_lower_bound () =
+  (* one task with alpha = 1: the lower bound is its sequential time *)
+  let dag = Dag.make [| Task.make ~id:0 ~seq:1000. ~alpha:1. |] [] in
+  let env = Env.make ~calendar:(Calendar.create ~procs:8) ~q:8. in
+  let probes = ref [] in
+  let oracle ~deadline =
+    probes := deadline :: !probes;
+    if deadline >= 5000 then Some { Schedule.slots = [||] } else None
+  in
+  match Deadline.tightest oracle env dag with
+  | None -> Alcotest.fail "no tightest deadline"
+  | Some (k, _) ->
+      Alcotest.(check int) "first probe at the lower bound" 1000 (List.hd (List.rev !probes));
+      Alcotest.(check bool) (Printf.sprintf "%d within resolution of 5000" k) true
+        (5000 <= k && k < 5060)
+
 let test_deadline_monotone_in_k () =
   let env = busy_env 29 in
   let dag = random_dag 30 in
-  match Deadline.tightest (fun ~deadline -> Deadline.aggressive DL_BD_CPA env dag ~deadline) env dag with
+  match Deadline.tightest (Deadline.aggressive DL_BD_CPA env dag) env dag with
   | None -> Alcotest.fail "no tightest deadline"
   | Some (k, _) ->
       (* looser deadlines remain feasible *)
@@ -347,18 +363,15 @@ let test_hybrid_loose_uses_lambda_zero () =
   | Some (_, lambda) -> Alcotest.(check (float 1e-9)) "lambda 0 on loose deadline" 0. lambda
   | None -> Alcotest.fail "hybrid failed"
 
-let test_hybrid_invalid_step () =
-  let env = Env.no_reservations ~p:8 in
-  let dag = diamond () in
-  Alcotest.check_raises "step <= 0" (Invalid_argument "Deadline.hybrid: step <= 0") (fun () ->
-      ignore (Deadline.hybrid ~step:0. env dag ~deadline:1000))
-
 let test_rc_invalid_lambda () =
   let env = Env.no_reservations ~p:8 in
   let dag = diamond () in
-  Alcotest.check_raises "lambda > 1"
-    (Invalid_argument "Deadline.resource_conservative: lambda") (fun () ->
-      ignore (Deadline.resource_conservative ~lambda:1.5 DL_RC_CPAR env dag ~deadline:1000))
+  let prepared = Deadline.resource_conservative DL_RC_CPAR env dag in
+  List.iter
+    (fun (name, lambda) ->
+      Alcotest.check_raises name (Invalid_argument "Deadline.resource_conservative: lambda")
+        (fun () -> ignore (prepared ~lambda ~deadline:1000)))
+    [ ("lambda > 1", 1.5); ("lambda < 0", -0.1); ("lambda nan", Float.nan) ]
 
 let test_deadline_backward_precedence () =
   (* Backward schedules must still respect precedence even with a full
@@ -646,7 +659,7 @@ let prop_deadline_valid_when_met =
       let k = 3 * Schedule.turnaround (Ressched.schedule env dag) in
       List.for_all
         (fun (a : Algo.deadline) ->
-          match a.run env dag ~deadline:k with
+          match a.prepare env dag ~deadline:k with
           | None -> true
           | Some sched -> Result.is_ok (Schedule.validate dag ~base:env.calendar ~deadline:k sched))
         Algo.deadline_all)
@@ -672,7 +685,7 @@ let prop_deadline_slots_within_window =
       let k = 3 * Schedule.turnaround (Ressched.schedule env dag) in
       List.for_all
         (fun (a : Algo.deadline) ->
-          match a.run env dag ~deadline:k with
+          match a.prepare env dag ~deadline:k with
           | None -> true
           | Some sched ->
               Array.for_all
@@ -690,20 +703,22 @@ let prop_turnaround_at_least_lower_bound =
         (fun (a : Algo.ressched) -> Schedule.turnaround (a.run env dag) >= lb)
         Algo.ressched_main)
 
-let prop_prepared_equals_direct =
-  QCheck.Test.make ~name:"prepared deadline closures match direct runs" ~count:15 arb_seed
+(* The λ sweep and the tightest search probe one prepared closure at many
+   deadlines, in any order; a conservative closure fills its memo of
+   reference schedules on the way.  Probing one closure up and down must
+   answer exactly as a fresh closure per deadline. *)
+let prop_prepared_reuse =
+  QCheck.Test.make ~name:"a reused prepared closure matches fresh ones" ~count:15 arb_seed
     (fun seed ->
       let env = busy_env seed in
       let dag = random_dag ~n:12 (seed + 8000) in
       let k = 2 * Schedule.turnaround (Ressched.schedule env dag) in
       List.for_all
         (fun (a : Algo.deadline) ->
-          let direct = a.run env dag ~deadline:k in
-          let prepared = a.prepare env dag ~deadline:k in
-          match (direct, prepared) with
-          | None, None -> true
-          | Some s1, Some s2 -> s1 = s2
-          | _ -> false)
+          let reused = a.prepare env dag in
+          List.for_all
+            (fun deadline -> reused ~deadline = a.prepare env dag ~deadline)
+            [ k; k / 3; k / 2; k ])
         Algo.deadline_all)
 
 let prop_hetero_valid_on_random_grids =
@@ -743,44 +758,44 @@ let prop_bd_cpar_cpu_not_more_than_bd_all =
 
 (* ------------------------------------------------------------------ *)
 (* The tightest-deadline search contract, against a threshold oracle:
-   every deadline from [t] on is feasible.  A one-task DAG with
-   alpha = 1 makes the lower bound the task's sequential time, so [lo]
-   also takes small values, where bisection midpoints can land on the
-   bracket's doubling points. *)
+   every deadline from [t] on is feasible.  Small values of [lo] let
+   bisection midpoints land on the bracket's doubling points, and
+   [lo < 1] searches from 1. *)
 
 let prop_tightest_threshold =
   let gen =
     QCheck.Gen.(
-      let* seq = oneof [ 1 -- 8; 1 -- 3000 ] in
+      let* lo = oneof [ -2 -- 8; 1 -- 3000 ] in
       let* resolution = oneof [ 1 -- 3; 1 -- 200 ] in
+      let start = max 1 lo in
       let* t =
         oneof
           [
-            1 -- (4 * seq);
+            1 -- (4 * start);
             (let* k = 0 -- 22 and* d = -2 * resolution -- (2 * resolution) in
-             return (max 1 ((seq lsl k) + d)));
-            1 -- (seq lsl 22);
+             return (max 1 ((start lsl k) + d)));
+            1 -- (start lsl 22);
           ]
       in
-      return (seq, resolution, t))
+      return (lo, resolution, t))
   in
   QCheck.Test.make ~name:"tightest meets a threshold to its resolution" ~count:500
     (QCheck.make ~print:QCheck.Print.(triple int int int) gen)
-    (fun (seq, resolution, t) ->
-      let dag = Dag.make [| Task.make ~id:0 ~seq:(float_of_int seq) ~alpha:1. |] [] in
-      let env = Env.make ~calendar:(Calendar.create ~procs:8) ~q:8. in
-      let lo = max 1 (Deadline.lower_bound env dag) in
+    (fun (lo, resolution, t) ->
+      let start = max 1 lo in
       let asked = Hashtbl.create 64 and repeated = ref false in
       let oracle ~deadline =
         if Hashtbl.mem asked deadline then repeated := true;
         Hashtbl.replace asked deadline ();
-        if deadline >= t then Some { Schedule.slots = [||] } else None
+        if deadline >= t then Some deadline else None
       in
-      let answer = Option.map fst (Deadline.tightest ~resolution oracle env dag) in
+      let answer = Deadline.search ~resolution ~lo oracle in
       (not !repeated)
+      && (match answer with Some (k, met) -> k = met | None -> true)
       &&
-      if t <= lo then answer = Some lo
-      else if t > lo lsl 21 then answer = None
+      let answer = Option.map fst answer in
+      if t <= start then answer = Some start
+      else if t > start lsl 21 then answer = None
       else match answer with Some k -> t <= k && k < t + resolution | None -> false)
 
 let () =
@@ -792,7 +807,7 @@ let () =
         prop_ressched_respects_bounds;
         prop_deadline_slots_within_window;
         prop_turnaround_at_least_lower_bound;
-        prop_prepared_equals_direct;
+        prop_prepared_reuse;
         prop_hetero_valid_on_random_grids;
         prop_bd_cpar_cpu_not_more_than_bd_all;
         prop_tightest_threshold;
@@ -838,10 +853,10 @@ let () =
           Alcotest.test_case "zero deadline" `Quick test_deadline_zero;
           Alcotest.test_case "rc saves cpu" `Quick test_deadline_rc_saves_cpu;
           Alcotest.test_case "tightest feasible" `Quick test_deadline_tightest_is_feasible;
+          Alcotest.test_case "tightest from the lower bound" `Quick test_tightest_from_lower_bound;
           Alcotest.test_case "monotone in K" `Quick test_deadline_monotone_in_k;
           Alcotest.test_case "hybrid lambda bounds" `Quick test_hybrid_lambda_bounds;
           Alcotest.test_case "hybrid loose -> lambda 0" `Quick test_hybrid_loose_uses_lambda_zero;
-          Alcotest.test_case "hybrid invalid step" `Quick test_hybrid_invalid_step;
           Alcotest.test_case "rc invalid lambda" `Quick test_rc_invalid_lambda;
           Alcotest.test_case "backward precedence" `Quick test_deadline_backward_precedence;
         ] );

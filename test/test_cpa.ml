@@ -256,9 +256,7 @@ let test_icaslb_competitive_with_cpa () =
 let test_icaslb_invalid_args () =
   let d = diamond () in
   Alcotest.check_raises "p < 1" (Invalid_argument "Icaslb: p < 1") (fun () ->
-      ignore (Icaslb.schedule ~p:0 d));
-  Alcotest.check_raises "lookahead < 0" (Invalid_argument "Icaslb: lookahead < 0") (fun () ->
-      ignore (Icaslb.schedule ~lookahead:(-1) ~p:4 d))
+      ignore (Icaslb.schedule ~p:0 d))
 
 (* ------------------------------------------------------------------ *)
 (* Gantt *)

@@ -4,6 +4,7 @@ module Dag_gen = Mp_dag.Dag_gen
 module Log_model = Mp_workload.Log_model
 module Reservation_gen = Mp_workload.Reservation_gen
 module Algo = Mp_core.Algo
+module Pool = Mp_prelude.Pool
 
 let micro = { Experiments.seed = 7; n_app = 1; n_res = 1; n_dags = 1; n_cals = 2 }
 
@@ -191,7 +192,10 @@ let micro_instances () =
 
 let test_runner_ressched () =
   let insts = micro_instances () in
-  let r = Runner.ressched ~validate:true ~algos:Algo.ressched_main ~scenario:"s" insts in
+  let r =
+    Pool.with_pool (fun pool ->
+        Runner.ressched ~validate:true ~pool ~algos:Algo.ressched_main ~scenario:"s" insts)
+  in
   let tat = r.Runner.tat and cpu = r.Runner.cpu_hours in
   Alcotest.(check int) "algos" 4 (Array.length tat.algos);
   Array.iter
@@ -208,7 +212,9 @@ let test_runner_ressched () =
 let test_runner_deadline () =
   let insts = micro_instances () in
   let algos = Algo.deadline_hybrid in
-  let r = Runner.deadline ~validate:true ~algos ~scenario:"s" insts in
+  let r =
+    Pool.with_pool (fun pool -> Runner.deadline ~validate:true ~pool ~algos ~scenario:"s" insts)
+  in
   let tight = r.Runner.tightest and cpu = r.Runner.loose_cpu_hours in
   Alcotest.(check int) "algos" (List.length algos) (Array.length tight.algos);
   (* robust algorithms must find finite tightest deadlines *)
@@ -230,8 +236,11 @@ let test_runner_parallel_deterministic () =
   List.iter
     (fun (seed, scenario) ->
       let insts = Instance.synthetic ~seed ~app ~res ~n_dags:2 ~n_cals:2 in
-      let seq = Runner.ressched ~jobs:1 ~algos:Algo.ressched_main ~scenario insts in
-      let par = Runner.ressched ~jobs:4 ~algos:Algo.ressched_main ~scenario insts in
+      let run jobs =
+        Pool.with_pool ~jobs (fun pool ->
+            Runner.ressched ~pool ~algos:Algo.ressched_main ~scenario insts)
+      in
+      let seq = run 1 and par = run 4 in
       Alcotest.(check bool) (scenario ^ ": tat identical") true
         (seq.Runner.tat.values = par.Runner.tat.values);
       Alcotest.(check bool) (scenario ^ ": cpu identical") true
@@ -245,7 +254,10 @@ let test_runner_deadline_jobs_invariant () =
      workers, the matrices must not move at all *)
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 10 } } in
   let insts = Instance.grid5000 ~seed:21 ~app ~n_dags:2 ~n_cals:2 in
-  let run jobs = Runner.deadline ~jobs ~algos:Algo.deadline_all ~scenario:"t6" insts in
+  let run jobs =
+    Pool.with_pool ~jobs (fun pool ->
+        Runner.deadline ~pool ~algos:Algo.deadline_all ~scenario:"t6" insts)
+  in
   let r1 = run 1 in
   List.iter
     (fun jobs ->
@@ -267,8 +279,10 @@ let test_runner_few_cells_invariant () =
   let app = { Scenario.label = "t"; params = { Dag_gen.default with n = 12 } } in
   let insts = Instance.grid5000 ~seed:31 ~app ~n_dags:1 ~n_cals:1 in
   let algos_r = [ List.hd Algo.ressched_main ] in
-  let r1 = Runner.ressched ~jobs:1 ~algos:algos_r ~scenario:"few" insts in
-  let r4 = Runner.ressched ~jobs:4 ~algos:algos_r ~scenario:"few" insts in
+  let ressched jobs =
+    Pool.with_pool ~jobs (fun pool -> Runner.ressched ~pool ~algos:algos_r ~scenario:"few" insts)
+  in
+  let r1 = ressched 1 and r4 = ressched 4 in
   Alcotest.(check bool) "few-cells ressched tat identical" true
     (r1.Runner.tat.values = r4.Runner.tat.values);
   Alcotest.(check bool) "few-cells ressched cpu identical" true
@@ -277,8 +291,10 @@ let test_runner_few_cells_invariant () =
     List.filter_map Algo.deadline_find [ "DL_BD_CPA"; "DL_RCBD_CPAR-l" ]
   in
   Alcotest.(check int) "two deadline algos" 2 (List.length algos_d);
-  let d1 = Runner.deadline ~jobs:1 ~algos:algos_d ~scenario:"few" insts in
-  let d4 = Runner.deadline ~jobs:4 ~algos:algos_d ~scenario:"few" insts in
+  let deadline jobs =
+    Pool.with_pool ~jobs (fun pool -> Runner.deadline ~pool ~algos:algos_d ~scenario:"few" insts)
+  in
+  let d1 = deadline 1 and d4 = deadline 4 in
   Alcotest.(check bool) "few-cells deadline tightest identical" true
     (d1.Runner.tightest.values = d4.Runner.tightest.values);
   Alcotest.(check bool) "few-cells deadline cpu identical" true
@@ -289,7 +305,8 @@ let test_runner_worker_exception () =
   let insts = micro_instances () in
   let boom : Algo.ressched = { name = "BOOM"; run = (fun ?spec:_ _ _ -> failwith "boom") } in
   Alcotest.check_raises "worker failure propagates" (Failure "boom") (fun () ->
-      ignore (Runner.ressched ~jobs:4 ~algos:[ boom ] ~scenario:"s" insts))
+      Pool.with_pool ~jobs:4 (fun pool ->
+          ignore (Runner.ressched ~pool ~algos:[ boom ] ~scenario:"s" insts)))
 
 (* ------------------------------------------------------------------ *)
 (* Experiments (micro scale) *)
@@ -308,14 +325,17 @@ let test_experiments_scales () =
    scale, pinned against a checked-in file so report-formatting or
    algorithm drift is caught by [dune runtest] instead of by eyeballing
    the repository-root artifact.  Regenerate the file by printing
-   [Experiments.standard_tables ~jobs:1 Experiments.tiny]. *)
+   [Experiments.standard_tables ~pool Experiments.tiny] on a pool of one
+   worker. *)
 let test_standard_tables_golden () =
   let path =
     if Sys.file_exists "standard_tables_tiny.expected" then "standard_tables_tiny.expected"
     else Filename.concat "test" "standard_tables_tiny.expected"
   in
   let expected = In_channel.with_open_bin path In_channel.input_all in
-  let actual = Experiments.standard_tables ~jobs:1 Experiments.tiny in
+  let actual =
+    Pool.with_pool ~jobs:1 (fun pool -> Experiments.standard_tables ~pool Experiments.tiny)
+  in
   Alcotest.(check string) "tiny-scale tables match golden file" expected actual
 
 let test_experiments_table2 () =
@@ -330,7 +350,7 @@ let test_experiments_table2 () =
     rows
 
 let test_experiments_table4_shape () =
-  let tat, cpu = Experiments.table4 micro in
+  let tat, cpu = Pool.with_pool (fun pool -> Experiments.table4 ~pool micro) in
   Alcotest.(check int) "4 rows" 4 (List.length tat);
   let find name rows =
     (List.find (fun (r : Metrics.row) -> r.algo = name) rows).Metrics.avg_degradation
@@ -377,7 +397,7 @@ let test_experiments_online_ablation () =
     rows
 
 let test_experiments_estimate_ablation () =
-  let rows = Experiments.estimate_ablation micro in
+  let rows = Pool.with_pool (fun pool -> Experiments.estimate_ablation ~pool micro) in
   Alcotest.(check int) "4 factors" 4 (List.length rows);
   (* turn-around grows with the over-estimation factor for every algorithm *)
   let tat_of (r : Experiments.estimate_row) name =
