@@ -279,4 +279,4 @@ let search ?(resolution = 60) ~lo probe =
       in
       Some (bisect lo hi (hi, x))
 
-let tightest ?resolution ?spec:_ algo env dag = search ?resolution ~lo:(lower_bound env dag) algo
+let tightest ?spec:_ algo env dag = search ~lo:(lower_bound env dag) algo

@@ -105,16 +105,16 @@ val search :
     [resolution < 1]. *)
 
 val tightest :
-  ?resolution:int ->
   ?spec:Speculate.t ->
   (deadline:int -> Mp_cpa.Schedule.t option) ->
   Env.t ->
   Mp_dag.Dag.t ->
   (int * Mp_cpa.Schedule.t) option
 (** [tightest algo env dag] is [search ~lo:(lower_bound env dag) algo]:
-    the smallest deadline the algorithm can meet.  Pass a prepared
-    closure ([Deadline.aggressive a env dag], [Algo.deadline.prepare]),
-    so every probe reuses one preparation.
+    the smallest deadline the algorithm can meet, to [search]'s default
+    60 s resolution.  Pass a prepared closure
+    ([Deadline.aggressive a env dag], [Algo.deadline.prepare]), so every
+    probe reuses one preparation.
 
     [?spec] is ignored.  It stays until the repository benchmark stops
     passing it; the change after that deletes it (see {!Speculate}). *)
