@@ -23,7 +23,7 @@ module Schedule = Mp_cpa.Schedule
 let scale_name, scale =
   match Sys.getenv_opt "MPRES_SCALE" with
   | Some s -> (
-      match Experiments.scale_of_string s with
+      match List.assoc_opt s Experiments.scales with
       | Some sc -> (String.lowercase_ascii s, sc)
       | None ->
           Printf.eprintf "unknown MPRES_SCALE %S; using quick\n%!" s;
@@ -373,9 +373,9 @@ let bench_service ~pool () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Calendar index: build 10^4-10^6-reservation calendars through a
-   {!Calendar.Txn} and measure the {!Mp_index} tree counters on a fixed
-   batch of fit queries against the committed snapshot.  The ladder pins
+(* Calendar index: build 10^4-10^6-reservation calendars by folding
+   {!Calendar.reserve_opt} and measure the {!Mp_index} tree counters on
+   a fixed batch of fit queries against the built snapshot.  The ladder pins
    the asymptotics: visits per query must grow ~log R across rungs, not
    ~R.  MPRES_INDEX_ASSERT=1 turns the bound into a hard failure (the CI
    huge-tier smoke sets it); MPRES_INDEX_MAX_R clamps the ladder so a
@@ -453,7 +453,7 @@ let bench_index () =
                 (List.assoc_opt "index.node_visits" snap.Mp_obs.Snapshot.counters)
             in
             let s0 = Mp_obs.Snapshot.take () in
-            let txn = Calendar.Txn.start (Calendar.create ~procs:q) in
+            let cal = ref (Calendar.create ~procs:q) in
             let t0 = Unix.gettimeofday () in
             let kept = ref 0 and attempts = ref 0 in
             while !kept < r_target && !attempts < 3 * r_target do
@@ -461,14 +461,17 @@ let bench_index () =
               let start = Mp_prelude.Rng.int rng horizon in
               let dur = 60 + Mp_prelude.Rng.int rng 3541 in
               let procs = 1 + Mp_prelude.Rng.int rng 8 in
-              if
-                Calendar.Txn.reserve_opt txn
-                  (Reservation.make ~start ~finish:(start + dur) ~procs)
-              then incr kept
+              match
+                Calendar.reserve_opt !cal (Reservation.make ~start ~finish:(start + dur) ~procs)
+              with
+              | Some c ->
+                  cal := c;
+                  incr kept
+              | None -> ()
             done;
             let build_s = Unix.gettimeofday () -. t0 in
             let s1 = Mp_obs.Snapshot.take () in
-            let committed = Calendar.Txn.commit txn in
+            let cal = !cal in
             let fits = ref 0 in
             let t1 = Unix.gettimeofday () in
             (* Queries drawn like the reservations themselves (procs well
@@ -481,17 +484,17 @@ let bench_index () =
               let procs = 1 + Mp_prelude.Rng.int rng 16 in
               let dur = 60 + Mp_prelude.Rng.int rng 3541 in
               let after = Mp_prelude.Rng.int rng horizon in
-              (match Calendar.earliest_fit committed ~after ~procs ~dur with
+              (match Calendar.earliest_fit cal ~after ~procs ~dur with
               | Some _ -> incr fits
               | None -> ());
               let finish_by = 1 + Mp_prelude.Rng.int rng horizon in
-              match Calendar.latest_fit committed ~earliest:0 ~finish_by ~procs ~dur with
+              match Calendar.latest_fit cal ~earliest:0 ~finish_by ~procs ~dur with
               | Some _ -> incr fits
               | None -> ()
             done;
             let query_s = Unix.gettimeofday () -. t1 in
             let s2 = Mp_obs.Snapshot.take () in
-            let bps = Calendar.breakpoints committed in
+            let bps = Calendar.breakpoints cal in
             let vpr = float_of_int (visits s1 - visits s0) /. float_of_int !attempts in
             let vpq =
               float_of_int (visits s2 - visits s1) /. float_of_int (2 * n_queries)

@@ -503,10 +503,8 @@ let serve seed n sites procs queue_limit budget algos jobs dump replay json stat
   let run () =
     let t0 = Mp_obs.now_ns () in
     let outcomes =
-      if jobs = 1 then Engine.run ?queue_limit ~measure:true ~stats:sink engine envelopes
-      else
-        Mp_prelude.Pool.with_pool ~jobs (fun pool ->
-            Engine.run ~pool ?queue_limit ~measure:true ~stats:sink engine envelopes)
+      Mp_prelude.Pool.with_pool ~jobs (fun pool ->
+          Engine.run ~pool ?queue_limit ~measure:true ~stats:sink engine envelopes)
     in
     (outcomes, Mp_obs.now_ns () - t0)
   in
@@ -690,56 +688,59 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 (* experiment *)
 
-let experiment scale_name table jobs trace =
+(* Every table and ablation [experiment] runs, in the order its help
+   lists them.  Only the parallel tables and ablations start worker
+   domains. *)
+let tables =
+  let pooled f ~jobs scale = Mp_prelude.Pool.with_pool ~jobs (fun pool -> f ~pool scale) in
+  let plain f ~jobs:_ scale = f scale in
+  [
+    ("all", pooled Experiments.run_all);
+    ("2", plain Experiments.print_table2);
+    ("3", plain Experiments.print_table3);
+    ("bl", pooled Experiments.print_bl_comparison);
+    ("matrix", pooled Experiments.print_bl_bd_matrix);
+    ("4", pooled Experiments.print_table4);
+    ("5", pooled Experiments.print_table5);
+    ("6", pooled Experiments.print_table6);
+    ("7", pooled Experiments.print_table7);
+    ("8", plain (fun _ -> Experiments.print_table8 ()));
+    ("9", plain Experiments.print_table9);
+    ("10", plain Experiments.print_table10);
+    ("allocators", plain Experiments.print_allocator_ablation);
+    ("blind", pooled Experiments.print_blind_ablation);
+    ("online", plain Experiments.print_online_ablation);
+    ("hetero", plain Experiments.print_hetero_ablation);
+    ("icaslb", pooled Experiments.print_icaslb_ablation);
+    ("impact", plain Experiments.print_reservation_impact);
+    ("pareto", pooled Experiments.print_pareto_ablation);
+    ("estimates", pooled Experiments.print_estimate_ablation);
+  ]
+
+let experiment scale table jobs trace =
   if jobs < 1 then begin
     Format.eprintf "--jobs must be at least 1@.";
     exit 1
   end;
-  with_trace trace @@ fun () ->
-  match Experiments.scale_of_string scale_name with
-  | None ->
-      Format.eprintf "unknown scale %S (tiny, quick, standard, paper)@." scale_name;
-      exit 1
-  | Some scale -> (
-      (* only the parallel tables and ablations start worker domains *)
-      let pooled f = Mp_prelude.Pool.with_pool ~jobs (fun pool -> f ~pool scale) in
-      match table with
-      | "all" -> pooled Experiments.run_all
-      | "2" -> Experiments.print_table2 scale
-      | "3" -> Experiments.print_table3 scale
-      | "bl" -> pooled Experiments.print_bl_comparison
-      | "matrix" -> pooled Experiments.print_bl_bd_matrix
-      | "4" -> pooled Experiments.print_table4
-      | "5" -> pooled Experiments.print_table5
-      | "6" -> pooled Experiments.print_table6
-      | "7" -> pooled Experiments.print_table7
-      | "8" -> Experiments.print_table8 ()
-      | "9" -> Experiments.print_table9 scale
-      | "10" -> Experiments.print_table10 scale
-      | "allocators" -> Experiments.print_allocator_ablation scale
-      | "blind" -> pooled Experiments.print_blind_ablation
-      | "online" -> Experiments.print_online_ablation scale
-      | "hetero" -> Experiments.print_hetero_ablation scale
-      | "icaslb" -> pooled Experiments.print_icaslb_ablation
-      | "impact" -> Experiments.print_reservation_impact scale
-      | "pareto" -> pooled Experiments.print_pareto_ablation
-      | "estimates" -> pooled Experiments.print_estimate_ablation
-      | other ->
-          Format.eprintf
-            "unknown table %S (2,3,bl,4,5,6,7,8,9,10,allocators,blind,online,hetero,icaslb,impact,pareto,estimates,all)@."
-            other;
-          exit 1)
+  with_trace trace @@ fun () -> List.assoc table tables ~jobs (List.assoc scale Experiments.scales)
 
 let experiment_cmd =
+  (* The options parse to names: a table is a closure, and [huge] has
+     [quick]'s shape. *)
+  let names alts = Arg.enum (List.map (fun (name, _) -> (name, name)) alts) in
   let scale =
-    Arg.(value & opt string "quick" & info [ "scale" ] ~doc:"Scale: tiny, quick, standard, paper.")
+    Arg.(
+      value
+      & opt (names Experiments.scales) "quick"
+      & info [ "scale" ] ~docv:"SCALE"
+          ~doc:(Printf.sprintf "Scale: %s." (doc_alts_enum Experiments.scales)))
   in
   let table =
     Arg.(
       value
-      & pos 0 string "all"
+      & pos 0 (names tables) "all"
       & info [] ~docv:"TABLE"
-          ~doc:"Table id (2..10, bl), ablation name (allocators, blind, online, hetero, estimates), or 'all'.")
+          ~doc:(Printf.sprintf "Table id or ablation name: %s." (doc_alts_enum tables)))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's tables")

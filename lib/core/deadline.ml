@@ -56,7 +56,7 @@ let place_latest cal task ~dl ~(cands : Task.candidates) =
             if journal then 0
             else match best with None -> 0 | Some (bs, _, _) -> Int.max 0 bs
           in
-          match Calendar.Txn.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
+          match Calendar.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
           | None ->
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
               go best (c - 1)
@@ -109,7 +109,7 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
            tail.  Unbounded when the journal is on, so the recorded fit of
            a deadline-missing candidate stays exactly as before. *)
         let limit = if journal then max_int else dl - dur in
-        match Calendar.Txn.earliest_fit ~limit cal ~after:threshold ~procs:np ~dur with
+        match Calendar.earliest_fit ~limit cal ~after:threshold ~procs:np ~dur with
         | Some s when s + dur <= dl ->
             if journal then begin
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:(Some s)
@@ -134,10 +134,7 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
   Mp_obs.Span.wrap sp_backward @@ fun () ->
   let nb = Dag.n dag in
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
-  (* The pass reserves and queries strictly forward through calendar
-     versions, so it runs on a mutable transaction over the shared base
-     calendar instead of building a persistent version per task. *)
-  let cal = Calendar.Txn.start env.calendar in
+  let cal = ref env.calendar in
   let rec go k =
     if k < 0 then Some { Schedule.slots }
     else begin
@@ -146,13 +143,13 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
         Array.fold_left (fun acc j -> Int.min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
       in
       Mp_obs.Span.enter sp_place;
-      let slot = place cal ~k ~i ~dl in
+      let slot = place !cal ~k ~i ~dl in
       Mp_obs.Span.exit sp_place;
       match slot with
       | None -> None
       | Some (s, fin, np) ->
           Mp_obs.Counter.incr c_tasks_placed;
-          Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+          cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:fin ~procs:np);
           slots.(i) <- { start = s; finish = fin; procs = np };
           go (k - 1)
     end

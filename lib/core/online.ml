@@ -16,9 +16,7 @@ let schedule (env : Env.t) ~events dag =
         Mp_dag.Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)))
   in
   let slots = Array.make (Dag.n dag) ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
-  (* Competitor grants and task placements interleave strictly forward, so
-     the whole run fits one calendar transaction. *)
-  let cal = Calendar.Txn.start env.calendar in
+  let cal = ref env.calendar in
   let granted = ref [] in
   Array.iteri
     (fun k i ->
@@ -28,16 +26,17 @@ let schedule (env : Env.t) ~events dag =
             match ev with
             | Reserve { start; dur; procs } when dur >= 1 && procs >= 1 ->
                 let r = Reservation.make ~start ~finish:(start + dur) ~procs in
-                if Calendar.Txn.reserve_opt cal r then begin
-                  Mp_obs.Counter.incr c_granted;
-                  Mp_forensics.Journal.grant ~start:r.start ~finish:r.finish ~procs:r.procs
-                    ~granted:true;
-                  granted := r :: !granted
-                end
-                else
-                  (* the competitor lost the race for that slot *)
-                  Mp_forensics.Journal.grant ~start:r.start ~finish:r.finish ~procs:r.procs
-                    ~granted:false
+                (match Calendar.reserve_opt !cal r with
+                | Some c ->
+                    cal := c;
+                    Mp_obs.Counter.incr c_granted;
+                    Mp_forensics.Journal.grant ~start:r.start ~finish:r.finish ~procs:r.procs
+                      ~granted:true;
+                    granted := r :: !granted
+                | None ->
+                    (* the competitor lost the race for that slot *)
+                    Mp_forensics.Journal.grant ~start:r.start ~finish:r.finish ~procs:r.procs
+                      ~granted:false)
             | Reserve { start; dur; procs } ->
                 (* nonsensical request: rejected, as Engine would *)
                 Mp_forensics.Journal.grant ~start ~finish:(start + dur) ~procs ~granted:false
@@ -50,10 +49,10 @@ let schedule (env : Env.t) ~events dag =
         Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
       in
       let s, fin, np =
-        Ressched.place ~kind:Mp_forensics.Journal.Online_forward cal (Dag.task dag i)
+        Ressched.place ~kind:Mp_forensics.Journal.Online_forward !cal (Dag.task dag i)
           ~ready ~cands:cands.(i)
       in
-      Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+      cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:fin ~procs:np);
       slots.(i) <- { start = s; finish = fin; procs = np })
     order;
   ({ Schedule.slots }, List.rev !granted)

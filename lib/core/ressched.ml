@@ -48,7 +48,7 @@ let place ?(kind = Mp_forensics.Journal.Forward) cal task ~ready ~(cands : Task.
             if journal then max_int
             else match best with None -> max_int | Some (_, bf, _) -> bf - dur
           in
-          match Calendar.Txn.earliest_fit ~limit cal ~after:ready ~procs:np ~dur with
+          match Calendar.earliest_fit ~limit cal ~after:ready ~procs:np ~dur with
           | None ->
               Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
               go best (c - 1)
@@ -83,16 +83,15 @@ let schedule ?(bl = Bottom_level.BL_CPAR) ?(bd = Bound.BD_CPAR) ?(now = 0) (env 
   let order = Bottom_level.order ~cpa bl env dag in
   let bounds = Bound.bounds ~cpa bd env dag in
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
-  (* Linear place-then-reserve loop: run on a mutable transaction. *)
-  let cal = Calendar.Txn.start env.calendar in
+  let cal = ref env.calendar in
   Array.iter
     (fun i ->
       let ready =
         Array.fold_left (fun acc j -> Int.max acc slots.(j).Schedule.finish) now (Dag.preds dag i)
       in
       let cands = Task.candidates (Dag.task dag i) ~max_np:(Int.max 1 bounds.(i)) in
-      let s, fin, np = place cal (Dag.task dag i) ~ready ~cands in
-      Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+      let s, fin, np = place !cal (Dag.task dag i) ~ready ~cands in
+      cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:fin ~procs:np);
       slots.(i) <- { start = s; finish = fin; procs = np })
     order;
   { Schedule.slots }

@@ -35,13 +35,13 @@ val name : bl:Bottom_level.method_ -> bd:Bound.method_ -> string
 
 val place :
   ?kind:Mp_forensics.Journal.kind ->
-  Mp_platform.Calendar.Txn.t ->
+  Mp_platform.Calendar.t ->
   Mp_dag.Task.t ->
   ready:int ->
   cands:Mp_dag.Task.candidates ->
   int * int * int
-(** One earliest-completion placement decision on a calendar
-    transaction: the ⟨start, finish, processors⟩ triple, over the
+(** One earliest-completion placement decision on a calendar: the
+    ⟨start, finish, processors⟩ triple, over the
     task's candidate processor counts [cands] (from
     {!Mp_dag.Task.candidates}), with the earliest completion at or after
     [ready], ties toward fewer processors.  Exposed for {!Online}, which

@@ -26,9 +26,7 @@ let map dag ~allocs ~p =
   let slots =
     Array.make (Dag.n dag) ({ start = 0; finish = 0; procs = 0 } : Schedule.slot)
   in
-  (* Strictly linear place-then-reserve loop on a throwaway calendar: run
-     it on a mutable transaction. *)
-  let cal = Calendar.Txn.start (Calendar.create ~procs:p) in
+  let cal = ref (Calendar.create ~procs:p) in
   Array.iter
     (fun i ->
       let ready =
@@ -36,11 +34,11 @@ let map dag ~allocs ~p =
       in
       let np = allocs.(i) in
       let dur = Task.exec_time (Dag.task dag i) np in
-      match Calendar.Txn.earliest_fit cal ~after:ready ~procs:np ~dur with
+      match Calendar.earliest_fit !cal ~after:ready ~procs:np ~dur with
       | None -> assert false (* np <= p on an empty-calendar cluster always fits *)
       | Some s ->
           Mp_obs.Counter.incr c_placements;
-          Calendar.Txn.reserve cal (Reservation.make ~start:s ~finish:(s + dur) ~procs:np);
+          cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:(s + dur) ~procs:np);
           slots.(i) <- { start = s; finish = s + dur; procs = np })
     order;
   Mp_obs.Timer.stop t_map obs_t0;

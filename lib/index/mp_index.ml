@@ -282,8 +282,6 @@ let max_in t ~from_ ~until =
   descent ();
   window_max t.root 0 ~lo:from_ ~hi:until min_int
 
-(* Update and fit entry points take the name [op] they report errors
-   under, so the persistent and [Txn] forms share one body. *)
 let check_window ~op ~(start : int) ~finish ~procs =
   if start >= finish then invalid_arg (op ^ ": start >= finish");
   if procs < 1 then invalid_arg (op ^ ": procs < 1")
@@ -307,23 +305,19 @@ let apply t ~start ~finish dv m =
   if e.hi_left then { t with root = insert root finish m; bps = t.bps + e.added + 1 }
   else { t with root; bps = t.bps + e.added }
 
-let reserve_as ~op t ~start ~finish ~procs =
-  check_window ~op ~start ~finish ~procs;
+let reserve t ~start ~finish ~procs =
+  check_window ~op:"Mp_index.reserve" ~start ~finish ~procs;
   descent ();
   let mn = window_min t.root 0 ~lo:start ~hi:finish max_int in
   if procs > mn then None else Some (apply t ~start ~finish (-procs) mn)
 
-let reserve t ~start ~finish ~procs = reserve_as ~op:"Mp_index.reserve" t ~start ~finish ~procs
-
 (* [procs > cap - mx], not [mx + procs > cap]: the sum wraps for a
    [procs] near [max_int]. *)
-let release_as ~op t ~start ~finish ~procs =
-  check_window ~op ~start ~finish ~procs;
+let release t ~start ~finish ~procs =
+  check_window ~op:"Mp_index.release" ~start ~finish ~procs;
   descent ();
   let mx = window_max t.root 0 ~lo:start ~hi:finish min_int in
   if procs > t.cap - mx then None else Some (apply t ~start ~finish procs mx)
-
-let release t ~start ~finish ~procs = release_as ~op:"Mp_index.release" t ~start ~finish ~procs
 
 (* Earliest fit.  Candidate starts are [after] and the clear breakpoints
    after it (the minimal feasible start is always one of these: sliding
@@ -364,8 +358,8 @@ let rec fit_walk t acc ~after ~limit ~procs ~dur st =
    [limit] is clamped there, and a candidate <= [limit] never overflows
    [s + dur].  [after] is clamped above the sentinel key, so a candidate
    is never [blocked]. *)
-let earliest_as ~op t ~limit ~after ~procs ~dur =
-  check_fit ~op ~procs ~dur;
+let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
+  check_fit ~op:"Mp_index.earliest_fit" ~procs ~dur;
   if procs > t.cap then None
   else begin
     descent ();
@@ -375,9 +369,6 @@ let earliest_as ~op t ~limit ~after ~procs ~dur =
       let s = fit_walk t.root 0 ~after ~limit ~procs ~dur blocked in
       if s = blocked || s > limit then None else Some s
   end
-
-let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
-  earliest_as ~op:"Mp_index.earliest_fit" t ~limit ~after ~procs ~dur
 
 (* Latest fit, the mirror walk.  The candidate window is [e - dur, e),
    with [e] starting at [finish_by].  One reverse in-order walk over the
@@ -413,8 +404,8 @@ let rec latest_walk t acc ~hi ~lo ~finish_by ~procs ~dur e =
 (* No start in [earliest, finish_by - dur], tested without computing a
    [finish_by - dur] that would wrap; past the test, [earliest + dur <=
    finish_by] cannot overflow either. *)
-let latest_as ~op t ~earliest ~finish_by ~procs ~dur =
-  check_fit ~op ~procs ~dur;
+let latest_fit t ~earliest ~finish_by ~procs ~dur =
+  check_fit ~op:"Mp_index.latest_fit" ~procs ~dur;
   if procs > t.cap || finish_by < min_int + dur || finish_by - dur < earliest then None
   else begin
     descent ();
@@ -422,9 +413,6 @@ let latest_as ~op t ~earliest ~finish_by ~procs ~dur =
     let e = latest_walk t.root 0 ~hi:max_int ~lo ~finish_by ~procs ~dur finish_by in
     if e >= lo then Some (e - dur) else None
   end
-
-let latest_fit t ~earliest ~finish_by ~procs ~dur =
-  latest_as ~op:"Mp_index.latest_fit" t ~earliest ~finish_by ~procs ~dur
 
 let fold_segments t ~from_ ~until ~init ~f =
   if from_ >= until then init
@@ -506,35 +494,3 @@ let self_check t =
   if emn < 0 then fail "Mp_index.self_check: negative availability %d" emn;
   if emx > t.cap then
     fail "Mp_index.self_check: availability %d above capacity %d" emx t.cap
-
-(* ------------------------------------------------------------------ *)
-(* Transactions                                                       *)
-(* ------------------------------------------------------------------ *)
-
-module Txn = struct
-  type index = t
-
-  (* The current snapshot: an update replaces it, never mutates it. *)
-  type t = { mutable cur : index }
-
-  let start (i : index) = { cur = i }
-  let commit t = t.cur
-
-  let update t = function
-    | Some i ->
-        t.cur <- i;
-        true
-    | None -> false
-
-  let reserve t ~start ~finish ~procs =
-    update t (reserve_as ~op:"Mp_index.Txn.reserve" t.cur ~start ~finish ~procs)
-
-  let release t ~start ~finish ~procs =
-    update t (release_as ~op:"Mp_index.Txn.release" t.cur ~start ~finish ~procs)
-
-  let earliest_fit ?(limit = max_int) t ~after ~procs ~dur =
-    earliest_as ~op:"Mp_index.Txn.earliest_fit" t.cur ~limit ~after ~procs ~dur
-
-  let latest_fit t ~earliest ~finish_by ~procs ~dur =
-    latest_as ~op:"Mp_index.Txn.latest_fit" t.cur ~earliest ~finish_by ~procs ~dur
-end

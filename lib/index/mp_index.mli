@@ -25,14 +25,10 @@
     [R] is the number of breakpoints ({!breakpoints}), at most
     [2 x reservations + 1].
 
-    Two forms share the same tree representation:
-
-    - the {b persistent} form ({!t}): every update path-copies O(log R)
-      nodes and returns a new snapshot, old snapshots stay valid;
-    - the {b transactional} form ({!Txn}): a single-owner mutable root
-      for linear reserve/query loops, with O(1) {!Txn.start} and
-      {!Txn.commit} (the underlying tree is shared, never mutated in
-      place).
+    The index is persistent: every update path-copies O(log R) nodes and
+    returns a new snapshot, and old snapshots stay valid.  A linear
+    reserve-then-query loop keeps its current snapshot in a local [ref];
+    nothing is ever mutated in place, so a snapshot may be shared freely.
 
     All operations are output-preserving with respect to a brute-force
     walk of the step function: fit queries have a unique semantically
@@ -148,38 +144,3 @@ val self_check : t -> unit
     (min, max) summaries vs recomputation, sentinel presence, key order,
     the {!breakpoints} count).  Raises [Failure] with a description on
     violation.  For tests; O(R). *)
-
-(** Single-owner mutable transaction over an index: the incremental form
-    used by linear placement loops and by the per-site shards of
-    {!Mp_service.Engine}.  A transaction owns a mutable pointer to its
-    current snapshot — updates replace it (path-copying, O(log R)), so
-    {!start} and {!commit} are O(1) and the snapshot a transaction was
-    started from is never affected.  Read-only queries go through
-    {!commit}. *)
-module Txn : sig
-  type index = t
-  (** The persistent form. *)
-
-  type t
-  (** A transaction.  Not thread-safe: single owner. *)
-
-  val start : index -> t
-  (** Begin a transaction on a snapshot.  O(1). *)
-
-  val commit : t -> index
-  (** The current state as a persistent snapshot.  O(1); the transaction
-      remains usable afterwards and further updates do not affect the
-      returned snapshot. *)
-
-  val reserve : t -> start:int -> finish:int -> procs:int -> bool
-  (** Apply a reservation; [false] (and no change) if it does not fit.
-      Validation as the persistent {!val:reserve}. *)
-
-  val release : t -> start:int -> finish:int -> procs:int -> bool
-  (** Undo a reservation; [false] (and no change) if the window was not
-      fully held. *)
-
-  val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int option
-
-  val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
-end

@@ -23,6 +23,10 @@
     the scheduling service holds. *)
 
 type t
+(** A calendar version: the {!Mp_index} snapshot itself.  Immutable;
+    {!reserve} and {!release} return a new version that shares structure
+    with the old, which stays valid.  A linear placement loop keeps its
+    current version in a local [ref]. *)
 
 exception Overcommitted of Reservation.t
 (** Raised by {!reserve} when a reservation requests more processors than
@@ -71,13 +75,20 @@ val of_reservations : procs:int -> Reservation.t list -> t
 (** Calendar with all the given reservations applied.
     @raise Overcommitted on the first infeasible one. *)
 
-val earliest_fit : t -> after:int -> procs:int -> dur:int -> int option
+val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int option
 (** [earliest_fit t ~after ~procs ~dur] is the earliest start time [s >=
     after] such that at least [procs] processors are available over the
     whole of [\[s, s + dur)], or [None] if no such time exists: when
     [procs] exceeds the availability of the calendar's final, unbounded
     segment, or when no such window ends at or before [max_int].
-    Requires [procs >= 1] and [dur >= 1]. *)
+    Requires [procs >= 1] and [dur >= 1].
+
+    [limit] (default unbounded) makes the query answer [None] as soon as
+    every remaining candidate start exceeds it: identical to running the
+    unbounded query and discarding a result above [limit], but without
+    walking the rest of the calendar.  For a caller that rejects starts
+    past [deadline - dur] anyway, passing that bound turns a doomed
+    full-calendar scan into an immediate [None]. *)
 
 val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
 (** [latest_fit t ~earliest ~finish_by ~procs ~dur] is the latest start
@@ -85,68 +96,6 @@ val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> i
     [procs] processors are available over [\[s, s + dur)], or [None]
     (in particular when [finish_by - earliest < dur], however close to
     [min_int] the bounds are).  Requires [procs >= 1] and [dur >= 1]. *)
-
-(** Mutable single-owner view for linear reserve-then-query passes.
-
-    The scheduling inner loops (backward deadline placement, CPA mapping,
-    list scheduling) thread each {!reserve} result straight into the next
-    query and never revisit an intermediate calendar version, so they pay
-    for persistence without using it.  A [Txn] owns a mutable root
-    pointer into the shared breakpoint tree ({!Mp_index.Txn}): {!Txn.start}
-    and {!Txn.commit} are O(1), each reservation path-copies O(log R)
-    nodes, and the calendar the transaction was forked from is never
-    modified.
-
-    A [Txn] answers every query exactly as the persistent calendar
-    obtained by folding the same reservations with {!reserve} would
-    (pinned by a qcheck property in [test_platform.ml]).  A [Txn] must
-    stay confined to one domain: it is freely mutated and carries none of
-    the persistent structure's sharing guarantees.  The per-site shards
-    of {!Mp_service.Engine} each own one long-lived [Txn]. *)
-module Txn : sig
-  type cal := t
-
-  type t
-  (** A private mutable view of one calendar version plus any number of
-      in-place reservations. *)
-
-  val start : cal -> t
-  (** Fork a transaction off a calendar version.  O(1). *)
-
-  val procs : t -> int
-  (** Total processors of the cluster. *)
-
-  val reserve : t -> Reservation.t -> unit
-  (** Subtract the reservation from availability, in place.
-      @raise Overcommitted if availability would go negative. *)
-
-  val reserve_opt : t -> Reservation.t -> bool
-  (** Non-raising {!reserve}: [false] (and no change) when it would
-      overcommit.  One index call, as the persistent {!val:reserve_opt}. *)
-
-  val release : t -> Reservation.t -> unit
-  (** Undo a {!reserve}, in place.  Raises [Invalid_argument] when the
-      reservation was not actually held (the result would exceed the
-      cluster size) — the mirror of the persistent {!val:release}. *)
-
-  val commit : t -> cal
-  (** The transaction's current state as a persistent calendar.  O(1);
-      the transaction remains usable afterwards, and further reserves do
-      not affect the returned calendar.  The committed calendar's
-      breakpoints are exactly those of the equivalent persistent fold. *)
-
-  val earliest_fit : ?limit:int -> t -> after:int -> procs:int -> dur:int -> int option
-  (** As {!earliest_fit} on the transaction's current state.  [limit]
-      (default unbounded) makes the query answer [None] as soon as every
-      remaining candidate start exceeds it: identical to running the
-      unbounded query and discarding a result above [limit], but without
-      walking the rest of the calendar.  For a caller that rejects starts
-      past [deadline - dur] anyway, passing that bound turns a doomed
-      full-calendar scan into an immediate [None]. *)
-
-  val latest_fit : t -> earliest:int -> finish_by:int -> procs:int -> dur:int -> int option
-  (** As {!latest_fit} on the transaction's current state. *)
-end
 
 val segments : t -> from_:int -> until:int -> (int * int * int) list
 (** Step-function view over a window: [(start, finish, available)] triples

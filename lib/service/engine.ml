@@ -72,13 +72,14 @@ let ring_recent r k =
         d_outcome = List.nth Response.kinds r.r_kind.(i);
       })
 
-(* Each site owns one long-lived {!Calendar.Txn}: an independent shard
-   of the availability index ({!Mp_index}), mutated only by this site's
-   sequential request stream — sites share no mutable state, which is
-   what lets {!run} fan them over worker domains.  Handlers and the
-   {!calendar} accessor see O(1) persistent snapshots ([Txn.commit]);
-   whole-DAG commits go through a trial transaction forked from the
-   current snapshot so a failing schedule leaves the site untouched.
+(* Each site holds its current calendar snapshot in [cal]: an
+   independent shard of the availability index ({!Mp_index}), replaced
+   only by this site's sequential request stream — sites share no
+   mutable state, which is what lets {!run} fan them over worker
+   domains.  Handlers and the {!calendar} accessor read the snapshot
+   as it is; a whole-DAG commit folds the schedule onto it and adopts
+   the result only if every reservation fits, so a failing schedule
+   leaves the site untouched.
 
    [held] is the multiset of reservations granted to [Reserve] and not
    yet cancelled: one binding per grant, so two equal grants need two
@@ -92,7 +93,7 @@ let ring_recent r k =
    into a scheduling decision. *)
 type site = {
   q : int;
-  mutable txn : Calendar.Txn.t;
+  mutable cal : Calendar.t;
   held : (Reservation.t, unit) Hashtbl.t;
   mutable n_requests : int;
   counts : int array;  (* responses issued, by Response.kind_index *)
@@ -110,7 +111,7 @@ let create ?(handlers = no_handlers) ~sites () =
   let site (s : site_spec) =
     {
       q = s.q;
-      txn = Calendar.Txn.start s.calendar;
+      cal = s.calendar;
       held = Hashtbl.create 64;
       n_requests = 0;
       counts = Array.make Response.n_kinds 0;
@@ -171,7 +172,7 @@ let index_visits_now () =
    oversize request, or an end past [max_int]. *)
 let out_of_range site ~start ~dur ~procs =
   start < 0 || dur < 1 || dur > max_int - start || procs < 1
-  || procs > Calendar.Txn.procs site.txn
+  || procs > Calendar.procs site.cal
 
 (* The trial-and-error semantics [Mp_core.Blind] drives: its "blind
    matches omniscient" pin depends on grant/suggestion behaviour staying
@@ -181,25 +182,25 @@ let reserve site ~start ~dur ~procs =
   else begin
     let r = Reservation.make ~start ~finish:(start + dur) ~procs in
     Mp_obs.Span.enter span_commit;
-    let granted = Calendar.Txn.reserve_opt site.txn r in
+    let granted = Calendar.reserve_opt site.cal r in
     Mp_obs.Span.exit span_commit;
-    if granted then begin
-      Hashtbl.add site.held r ();
-      Response.Granted
-    end
-    else begin
-      Mp_obs.Span.enter span_fit;
-      let suggestion = Calendar.Txn.earliest_fit site.txn ~after:start ~procs ~dur in
-      Mp_obs.Span.exit span_fit;
-      Response.Rejected suggestion
-    end
+    match granted with
+    | Some cal ->
+        site.cal <- cal;
+        Hashtbl.add site.held r ();
+        Response.Granted
+    | None ->
+        Mp_obs.Span.enter span_fit;
+        let suggestion = Calendar.earliest_fit site.cal ~after:start ~procs ~dur in
+        Mp_obs.Span.exit span_fit;
+        Response.Rejected suggestion
   end
 
 let probe site ~start ~dur ~procs =
   if out_of_range site ~start ~dur ~procs then Response.Available None
   else begin
     Mp_obs.Span.enter span_fit;
-    let fit = Calendar.Txn.earliest_fit site.txn ~after:start ~procs ~dur in
+    let fit = Calendar.earliest_fit site.cal ~after:start ~procs ~dur in
     Mp_obs.Span.exit span_fit;
     Response.Available fit
   end
@@ -215,30 +216,30 @@ let cancel site ~start ~finish ~procs =
     else begin
       Hashtbl.remove site.held r;
       Mp_obs.Span.enter span_commit;
-      Calendar.Txn.release site.txn r;
+      site.cal <- Calendar.release site.cal r;
       Mp_obs.Span.exit span_commit;
       Response.Cancelled
     end
   end
 
 let submit t site ~algo ~deadline dag =
-  match t.handlers.submit ~algo ~deadline ~q:site.q (Calendar.Txn.commit site.txn) dag with
-  | Response.Scheduled { schedule; _ } as resp ->
-      (* All-or-nothing: apply the schedule to a trial transaction forked
-         off the current state (both forks are O(1)); adopt it only if
-         every reservation fits, so a failing schedule leaves the site's
-         shard untouched. *)
+  match t.handlers.submit ~algo ~deadline ~q:site.q site.cal dag with
+  | Response.Scheduled { schedule; _ } as resp -> (
+      (* All-or-nothing: fold the schedule onto the current snapshot and
+         adopt the result only if every reservation fits, so a failing
+         schedule leaves the site's shard untouched. *)
       Mp_obs.Span.enter span_commit;
-      let trial = Calendar.Txn.start (Calendar.Txn.commit site.txn) in
-      let ok =
-        List.for_all (Calendar.Txn.reserve_opt trial) (Mp_cpa.Schedule.reservations schedule)
+      let trial =
+        List.fold_left
+          (fun acc r -> Option.bind acc (fun cal -> Calendar.reserve_opt cal r))
+          (Some site.cal) (Mp_cpa.Schedule.reservations schedule)
       in
       Mp_obs.Span.exit span_commit;
-      if ok then begin
-        site.txn <- trial;
-        resp
-      end
-      else Response.Error "submit_dag: schedule overcommits the site calendar"
+      match trial with
+      | Some cal ->
+          site.cal <- cal;
+          resp
+      | None -> Response.Error "submit_dag: schedule overcommits the site calendar")
   | resp -> resp
 
 (* Snapshot of the site's live telemetry state — reads only; the counts
@@ -253,7 +254,7 @@ let stats_of site ~last =
       queue_depth = site.queue_depth;
       queue_peak = site.queue_peak;
       held = Hashtbl.length site.held;
-      breakpoints = Calendar.breakpoints (Calendar.Txn.commit site.txn);
+      breakpoints = Calendar.breakpoints site.cal;
       recent = ring_recent site.ring last;
     }
 
@@ -264,7 +265,7 @@ let dispatch t site (r : Request.t) =
   | Cancel { start; finish; procs } -> cancel site ~start ~finish ~procs
   | Submit_dag { dag; algo; deadline } -> submit t site ~algo ~deadline dag
   | Explain { dag; algo; deadline; format } ->
-      t.handlers.explain ~algo ~deadline ~format ~q:site.q (Calendar.Txn.commit site.txn) dag
+      t.handlers.explain ~algo ~deadline ~format ~q:site.q site.cal dag
   | Stats { last } -> stats_of site ~last
 
 let handle t ~site r =
@@ -366,7 +367,7 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
      state is exactly "after every request arriving before the boundary"
      because windows are flushed before serving the first later arrival. *)
   let flush_window a =
-    let cal = Calendar.Txn.commit site.txn in
+    let cal = site.cal in
     let procs = Calendar.procs cal in
     let busy =
       Calendar.fold_segments cal ~from_:(a.w_end - every) ~until:a.w_end ~init:0
@@ -485,7 +486,7 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
   | _ -> ());
   outcomes
 
-let run ?pool ?(queue_limit = max_int) ?(measure = false) ?stats t envelopes =
+let run ~pool ?(queue_limit = max_int) ?(measure = false) ?stats t envelopes =
   let n = Array.length t.sites in
   (match stats with
   | None -> ()
@@ -509,7 +510,7 @@ let run ?pool ?(queue_limit = max_int) ?(measure = false) ?stats t envelopes =
   in
   let jobs = Array.to_list (Array.mapi (fun i es -> (i, List.rev es)) per_site) in
   let f (i, es) = run_site t ~queue_limit ~measure ?stats i es in
-  let per_site_outcomes = match pool with None -> List.map f jobs | Some p -> Mp_prelude.Pool.map p f jobs in
+  let per_site_outcomes = Mp_prelude.Pool.map pool f jobs in
   List.sort
     (fun a b -> compare a.id b.id)
     (List.concat (bad :: per_site_outcomes))
@@ -529,6 +530,6 @@ let granted t ~site =
 
 let calendar t ~site =
   check_site t site "calendar";
-  Calendar.Txn.commit t.sites.(site).txn
+  t.sites.(site).cal
 
 let n_sites t = Array.length t.sites

@@ -2,14 +2,14 @@
     calendars.
 
     One engine owns an array of sites, each an independently sharded
-    availability calendar — a long-lived {!Mp_platform.Calendar.Txn} over
-    its own {!Mp_index} tree, so per-request fit queries and commits cost
-    O(log R) even with 10⁵–10⁶ live reservations — plus the processor
-    budget [q] given to DAG schedulers.  {!handle}
-    services one {!Request.t} against one site and returns a
-    {!Response.t}; {!run} consumes a whole {!Request.envelope} stream with
-    deterministic admission control, optionally fanning sites out over an
-    {!Mp_prelude.Pool}.
+    availability calendar — the site holds its current
+    {!Mp_platform.Calendar.t} snapshot of its own {!Mp_index} tree, so
+    per-request fit queries and commits cost O(log R) even with 10⁵–10⁶
+    live reservations — plus the processor budget [q] given to DAG
+    schedulers.  {!handle} services one {!Request.t} against one site and
+    returns a {!Response.t}; {!run} consumes a whole {!Request.envelope}
+    stream with deterministic admission control, fanning sites out over
+    the caller's {!Mp_prelude.Pool}.
 
     {2 Determinism contract}
 
@@ -155,7 +155,7 @@ module Stats : sig
 end
 
 val run :
-  ?pool:Mp_prelude.Pool.t ->
+  pool:Mp_prelude.Pool.t ->
   ?queue_limit:int ->
   ?measure:bool ->
   ?stats:Stats.sink ->
@@ -164,8 +164,9 @@ val run :
   outcome list
 (** Consume an envelope stream.  Envelopes are grouped per site and each
     site serviced in ⟨arrival, id⟩ order through the simulated FIFO queue
-    (see the determinism contract above); with [pool], sites are fanned
-    over the pool's workers.  [queue_limit] (default unbounded) sheds an
+    (see the determinism contract above); sites are fanned over [pool]'s
+    workers (a pool of one job runs them in order on the caller's
+    domain).  [queue_limit] (default unbounded) sheds an
     arrival as {!Response.Overloaded} when that many admitted requests are
     still queued or in service; an envelope [budget] sheds the request
     when its simulated queue delay would exceed the budget.  Envelopes

@@ -31,13 +31,8 @@ let paper = { seed = 42; n_app = 40; n_res = 36; n_dags = 20; n_cals = 50 }
    scenario counts — see "Calendar index" in the bench harness. *)
 let huge = { quick with seed = 42 }
 
-let scale_of_string = function
-  | "tiny" -> Some tiny
-  | "quick" -> Some quick
-  | "standard" -> Some standard
-  | "paper" -> Some paper
-  | "huge" -> Some huge
-  | _ -> None
+let scales =
+  [ ("tiny", tiny); ("quick", quick); ("standard", standard); ("paper", paper); ("huge", huge) ]
 
 let day = 86_400
 let hours s = float_of_int s /. 3600.

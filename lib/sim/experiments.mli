@@ -39,8 +39,9 @@ val huge : scale
     counts — the "Calendar index" ladder climbs to 10⁵–10⁶ reservations
     per calendar.  See CLAUDE.md ([MPRES_SCALE=huge]). *)
 
-val scale_of_string : string -> scale option
-(** ["tiny"], ["quick"], ["standard"], ["paper"], ["huge"]. *)
+val scales : (string * scale) list
+(** Every scale by name, smallest first: ["tiny"], ["quick"],
+    ["standard"], ["paper"], ["huge"]. *)
 
 (** {1 Table 2 — workload logs} *)
 

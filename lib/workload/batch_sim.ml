@@ -7,17 +7,15 @@ let by_submit jobs =
   List.sort (fun (a : Job.t) (b : Job.t) -> compare (a.submit, a.id) (b.submit, b.id)) jobs
 
 let conservative ?(reserved = []) ~procs jobs =
-  (* One fit query and one reservation per job, strictly forward: run the
-     whole replay on a calendar transaction. *)
-  let cal = Calendar.Txn.start (Calendar.of_reservations ~procs reserved) in
+  let cal = ref (Calendar.of_reservations ~procs reserved) in
   let placed =
     List.fold_left
       (fun acc (j : Job.t) ->
-        match Calendar.Txn.earliest_fit cal ~after:j.submit ~procs:j.procs ~dur:j.run with
+        match Calendar.earliest_fit !cal ~after:j.submit ~procs:j.procs ~dur:j.run with
         | None -> acc (* cannot happen: procs <= capacity *)
         | Some s ->
-            Calendar.Txn.reserve cal
-              (Reservation.make ~start:s ~finish:(s + j.run) ~procs:j.procs);
+            cal :=
+              Calendar.reserve !cal (Reservation.make ~start:s ~finish:(s + j.run) ~procs:j.procs);
             { j with start = Some s } :: acc)
       [] jobs
   in

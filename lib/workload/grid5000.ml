@@ -51,17 +51,17 @@ let generate rng ?(cpus = default_cpus) ?(days = 60) ?(load = 0.30) () =
     if t >= float_of_int horizon then List.rev acc else arrivals (int_of_float t :: acc) t
   in
   let submits = arrivals [] 0. in
-  let cal = Calendar.Txn.start (Calendar.create ~procs:cpus) in
+  let cal = ref (Calendar.create ~procs:cpus) in
   let jobs =
     List.fold_left
       (fun acc submit ->
         let run = draw_runtime rng in
         let procs = draw_procs rng cpus in
         let requested = submit + draw_wait rng in
-        match Calendar.Txn.earliest_fit cal ~after:requested ~procs ~dur:run with
+        match Calendar.earliest_fit !cal ~after:requested ~procs ~dur:run with
         | None -> acc
         | Some start ->
-            Calendar.Txn.reserve cal (Reservation.make ~start ~finish:(start + run) ~procs);
+            cal := Calendar.reserve !cal (Reservation.make ~start ~finish:(start + run) ~procs);
             let j = Job.make ~id:(List.length acc + 1) ~submit ~start ~run ~procs () in
             j :: acc)
       [] submits

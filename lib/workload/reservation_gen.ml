@@ -86,9 +86,16 @@ let reshape rng method_ future =
    feasible schedule). *)
 let feasible_subset ~procs rs =
   let rs = List.sort Reservation.compare_by_start rs in
-  let cal = Calendar.Txn.start (Calendar.create ~procs) in
+  let cal = ref (Calendar.create ~procs) in
   let kept =
-    List.fold_left (fun kept r -> if Calendar.Txn.reserve_opt cal r then r :: kept else kept) [] rs
+    List.fold_left
+      (fun kept r ->
+        match Calendar.reserve_opt !cal r with
+        | Some c ->
+            cal := c;
+            r :: kept
+        | None -> kept)
+      [] rs
   in
   List.rev kept
 

@@ -1,7 +1,7 @@
-(* Mp_index against a brute-force reference model: the persistent form,
-   the Txn form and the reference must agree on every query over random
-   reservation soups, and the structural invariants must survive random
-   reserve/release sequences.  The large-R smoke at the end exercises the
+(* Mp_index against a brute-force reference model: the index and the
+   reference must agree on every query over random reservation soups,
+   and the structural invariants must survive random reserve/release
+   sequences.  The large-R smoke at the end exercises the
    same tree at 10^5 reservations and sanity-checks the O(log R) visit
    bound through the Mp_obs counters. *)
 
@@ -235,84 +235,24 @@ let prop_fold_segments_reproduce_profile =
       !tiles && !cursor = until && !values)
 
 (* ------------------------------------------------------------------ *)
-(* Txn form vs persistent form *)
+(* Persistence and update structure *)
 
-let prop_txn_matches_persistent =
-  QCheck.Test.make ~name:"txn reserve/release/query sequence matches persistent" ~count:300
-    (QCheck.make
-       ~print:(fun (rs, ops) ->
-         Printf.sprintf "rs=[%s] ops=[%s]" (print_soup rs)
-           (String.concat "; "
-              (List.map
-                 (fun (rel, (s, d, np, at)) ->
-                   Printf.sprintf "%s[%d,+%d)x%d@%d" (if rel then "rel" else "res") s d np at)
-                 ops)))
-       QCheck.Gen.(
-         pair gen_soup
-           (list_size (1 -- 24) (pair bool (quad (0 -- 40) (1 -- 10) (1 -- 6) (0 -- 45))))))
-    (fun (rs, ops) ->
-      let txn = Index.Txn.start (index_of_soup rs) in
-      let idx = ref (index_of_soup rs) in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      List.iter
-        (fun (rel, (s, d, np, at)) ->
-          let dur = max 1 (d / 2) in
-          (* read-only queries see the transaction through [commit] *)
-          let cur = Index.Txn.commit txn in
-          check (Index.available_at cur at = Index.available_at !idx at);
-          check (Index.min_in cur ~from_:at ~until:(at + 5) = Index.min_in !idx ~from_:at ~until:(at + 5));
-          check (Index.breakpoints cur = Index.breakpoints !idx);
-          check
-            (Index.Txn.earliest_fit txn ~after:at ~procs:np ~dur
-            = Index.earliest_fit !idx ~after:at ~procs:np ~dur);
-          check
-            (Index.Txn.earliest_fit ~limit:(at + 8) txn ~after:at ~procs:np ~dur
-            = Index.earliest_fit ~limit:(at + 8) !idx ~after:at ~procs:np ~dur);
-          check
-            (Index.Txn.latest_fit txn ~earliest:0 ~finish_by:(at + 20) ~procs:np ~dur
-            = Index.latest_fit !idx ~earliest:0 ~finish_by:(at + 20) ~procs:np ~dur);
-          check
-            (Index.can_reserve cur ~start:s ~finish:(s + d) ~procs:np
-            = Index.can_reserve !idx ~start:s ~finish:(s + d) ~procs:np);
-          if rel then begin
-            let applied = Index.Txn.release txn ~start:s ~finish:(s + d) ~procs:np in
-            match Index.release !idx ~start:s ~finish:(s + d) ~procs:np with
-            | Some idx' ->
-                check applied;
-                idx := idx'
-            | None -> check (not applied)
-          end
-          else begin
-            let applied = Index.Txn.reserve txn ~start:s ~finish:(s + d) ~procs:np in
-            match Index.reserve !idx ~start:s ~finish:(s + d) ~procs:np with
-            | Some idx' ->
-                check applied;
-                idx := idx'
-            | None -> check (not applied)
-          end)
-        ops;
-      (* commit is the same snapshot the persistent fold reached *)
-      let committed = Index.Txn.commit txn in
-      Index.self_check committed;
-      for t = -2 to 60 do
-        check (Index.available_at committed t = Index.available_at !idx t)
-      done;
-      !ok)
-
-let prop_txn_commit_isolated =
-  QCheck.Test.make ~name:"commit snapshots are isolated from later txn updates" ~count:200
+(* Every tightest-search probe starts from one shared base calendar, so a
+   reserve must leave the snapshot it was given exactly as it was. *)
+let prop_reserve_keeps_input =
+  QCheck.Test.make ~name:"a reserve leaves its input snapshot unchanged" ~count:200
     (QCheck.make ~print:print_soup gen_soup) (fun rs ->
-      let txn = Index.Txn.start (index_of_soup rs) in
-      let snap = Index.Txn.commit txn in
-      let before = Array.init 63 (fun i -> Index.available_at snap (i - 2)) in
+      let snap = index_of_soup rs in
+      let before = breakpoint_list snap in
       (* far-future window: always free in the generated soups *)
-      let applied = Index.Txn.reserve txn ~start:100 ~finish:110 ~procs:cap in
-      applied
-      && Array.for_all Fun.id
-           (Array.init 63 (fun i -> Index.available_at snap (i - 2) = before.(i)))
-      && Index.available_at snap 105 = cap
-      && Index.available_at (Index.Txn.commit txn) 105 = 0)
+      match Index.reserve snap ~start:100 ~finish:110 ~procs:cap with
+      | None -> false
+      | Some next ->
+          Index.self_check snap;
+          breakpoint_list snap = before
+          && Index.breakpoints snap = List.length before
+          && Index.available_at snap 105 = cap
+          && Index.available_at next 105 = 0)
 
 (* Updates never remove a key, so after any reserve/release soup the key
    set is the sentinel plus the ends of every window applied, which is
@@ -328,7 +268,7 @@ let prop_update_keys =
            (List.map (fun (sel, (s, d, np)) -> Printf.sprintf "%d:[%d,+%d)x%d" sel s d np) ops))
        QCheck.Gen.(list_size (1 -- 40) (pair (0 -- 9) (triple (-2 -- 40) (0 -- 12) (1 -- cap)))))
     (fun ops ->
-      let idx = ref (Index.create ~procs:cap) and txn = Index.Txn.start (Index.create ~procs:cap) in
+      let idx = ref (Index.create ~procs:cap) in
       let keys = ref [ min_int ] and granted = ref [] in
       List.for_all
         (fun (sel, (s, d, np)) ->
@@ -343,10 +283,6 @@ let prop_update_keys =
             if rel then Index.release !idx ~start ~finish ~procs:np
             else Index.reserve !idx ~start ~finish ~procs:np
           in
-          let txn_applied =
-            if rel then Index.Txn.release txn ~start ~finish ~procs:np
-            else Index.Txn.reserve txn ~start ~finish ~procs:np
-          in
           (match applied with
           | Some i ->
               idx := i;
@@ -354,14 +290,9 @@ let prop_update_keys =
               if not rel then granted := (start, finish, np) :: !granted
           | None -> ());
           let want = List.sort_uniq compare !keys in
-          let committed = Index.Txn.commit txn in
           Index.self_check !idx;
-          Index.self_check committed;
-          Option.is_some applied = txn_applied
-          && List.map fst (breakpoint_list !idx) = want
-          && Index.breakpoints !idx = List.length want
-          && breakpoint_list committed = breakpoint_list !idx
-          && Index.breakpoints committed = List.length want)
+          List.map fst (breakpoint_list !idx) = want
+          && Index.breakpoints !idx = List.length want)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -409,12 +340,7 @@ let test_fit_int_extremes () =
   some "earliest: window ends at max_int" (Some (max_int - 5))
     (Index.earliest_fit idx ~after:(max_int - 5) ~procs:1 ~dur:5);
   some "earliest: only clear run ends past max_int" None
-    (Index.earliest_fit (full ~start:0 ~finish:(max_int - 3)) ~after:0 ~procs:1 ~dur:5);
-  let txn = Index.Txn.start (full ~start:0 ~finish:(max_int - 3)) in
-  some "txn earliest: only clear run ends past max_int" None
-    (Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:5);
-  some "txn latest: finish_by - dur wraps" None
-    (Index.Txn.latest_fit txn ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5)
+    (Index.earliest_fit (full ~start:0 ~finish:(max_int - 3)) ~after:0 ~procs:1 ~dur:5)
 
 (* The sentinel segment itself can be reserved: a window must then start
    at or after the reservation's end. *)
@@ -433,7 +359,7 @@ let test_blocked_sentinel () =
 
 (* ------------------------------------------------------------------ *)
 (* One-descent update: the exact breakpoints for each way a window's ends
-   meet the existing keys, persistent and Txn *)
+   meet the existing keys *)
 
 (* Capacity 8 holding [10, 20) x 3: keys min_int, 10 and 20. *)
 let update_base () =
@@ -467,14 +393,7 @@ let test_update_cases () =
       let released = List.map (fun (k, _) -> (k, base_avail k)) want in
       let idx = Option.get (Index.reserve (update_base ()) ~start ~finish ~procs:2) in
       check "reserve" idx want;
-      check "release" (Option.get (Index.release idx ~start ~finish ~procs:2)) released;
-      let txn = Index.Txn.start (update_base ()) in
-      if not (Index.Txn.reserve txn ~start ~finish ~procs:2) then
-        Alcotest.failf "%s: txn refused the reserve" name;
-      check "txn reserve" (Index.Txn.commit txn) want;
-      if not (Index.Txn.release txn ~start ~finish ~procs:2) then
-        Alcotest.failf "%s: txn refused the release" name;
-      check "txn release" (Index.Txn.commit txn) released)
+      check "release" (Option.get (Index.release idx ~start ~finish ~procs:2)) released)
     update_cases
 
 (* Both ends of every window fall in one gap, so each update inserts its
@@ -482,16 +401,10 @@ let test_update_cases () =
    spine, descending ones the left, and each forces rotations. *)
 let test_same_gap_rotations () =
   let n = 10_000 in
-  let idx = ref (Index.create ~procs:2) and txn = Index.Txn.start (Index.create ~procs:2) in
+  let idx = ref (Index.create ~procs:2) in
   let step i ~start =
-    let finish = start + 2 in
-    idx := Option.get (Index.reserve !idx ~start ~finish ~procs:1);
-    if not (Index.Txn.reserve txn ~start ~finish ~procs:1) then
-      Alcotest.failf "txn refused [%d, %d)" start finish;
-    if i mod 100 = 0 then begin
-      Index.self_check !idx;
-      Index.self_check (Index.Txn.commit txn)
-    end
+    idx := Option.get (Index.reserve !idx ~start ~finish:(start + 2) ~procs:1);
+    if i mod 100 = 0 then Index.self_check !idx
   in
   for i = 0 to n - 1 do
     step i ~start:(3 * i)
@@ -501,8 +414,6 @@ let test_same_gap_rotations () =
   done;
   Index.self_check !idx;
   Alcotest.(check int) "two keys per window" (1 + (4 * n)) (Index.breakpoints !idx);
-  Alcotest.check bp_list "txn matches persistent" (breakpoint_list !idx)
-    (breakpoint_list (Index.Txn.commit txn));
   List.iter
     (fun (t, want) -> Alcotest.(check int) (Printf.sprintf "available at %d" t) want
         (Index.available_at !idx t))
@@ -517,12 +428,7 @@ let test_release_overflow () =
       let what = Printf.sprintf "release x %d" procs in
       Alcotest.(check bool) (what ^ ": refused") true
         (Index.release idx ~start:0 ~finish:10 ~procs = None);
-      Alcotest.check bp_list (what ^ ": snapshot unchanged") before (breakpoint_list idx);
-      let txn = Index.Txn.start idx in
-      Alcotest.(check bool) (what ^ ": txn refused") false
-        (Index.Txn.release txn ~start:0 ~finish:10 ~procs);
-      Alcotest.check bp_list (what ^ ": txn unchanged") before
-        (breakpoint_list (Index.Txn.commit txn)))
+      Alcotest.check bp_list (what ^ ": snapshot unchanged") before (breakpoint_list idx))
     [ max_int; max_int - 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -541,11 +447,9 @@ let visits () =
 let test_comb_one_walk () =
   Mp_obs.with_enabled (fun () ->
       let teeth = 1_000 in
-      let idx = ref (Index.create ~procs:4) and txn = Index.Txn.start (Index.create ~procs:4) in
+      let idx = ref (Index.create ~procs:4) in
       for i = 0 to teeth - 1 do
-        idx := Option.get (Index.reserve !idx ~start:(10 * i) ~finish:((10 * i) + 5) ~procs:4);
-        if not (Index.Txn.reserve txn ~start:(10 * i) ~finish:((10 * i) + 5) ~procs:4) then
-          Alcotest.fail "txn refused a comb tooth"
+        idx := Option.get (Index.reserve !idx ~start:(10 * i) ~finish:((10 * i) + 5) ~procs:4)
       done;
       let bps = Index.breakpoints !idx in
       Alcotest.(check int) "sentinel + 2 cuts per tooth" ((2 * teeth) + 1) bps;
@@ -560,11 +464,8 @@ let test_comb_one_walk () =
       let after_comb = Some 9995 and before_comb = Some (-6) in
       pin "persistent earliest" after_comb (fun () ->
           Index.earliest_fit !idx ~after:0 ~procs:1 ~dur:6);
-      pin "txn earliest" after_comb (fun () -> Index.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:6);
       pin "persistent latest" before_comb (fun () ->
-          Index.latest_fit !idx ~earliest:(-100) ~finish_by:10_000 ~procs:1 ~dur:6);
-      pin "txn latest" before_comb (fun () ->
-          Index.Txn.latest_fit txn ~earliest:(-100) ~finish_by:10_000 ~procs:1 ~dur:6))
+          Index.latest_fit !idx ~earliest:(-100) ~finish_by:10_000 ~procs:1 ~dur:6))
 
 (* ------------------------------------------------------------------ *)
 (* Large-R smoke: 10^5 reservations, O(log R) visit bound *)
@@ -574,7 +475,7 @@ let test_large_r_smoke () =
       let q = 64 and r_target = 100_000 in
       let rng = Mp_prelude.Rng.create 7 in
       let horizon = 215 * r_target in
-      let txn = Index.Txn.start (Index.create ~procs:q) in
+      let idx = ref (Index.create ~procs:q) in
       let kept = ref 0 and attempts = ref 0 in
       let v_build = visits () in
       while !kept < r_target && !attempts < 3 * r_target do
@@ -582,11 +483,15 @@ let test_large_r_smoke () =
         let start = Mp_prelude.Rng.int rng horizon in
         let dur = 60 + Mp_prelude.Rng.int rng 3541 in
         let procs = 1 + Mp_prelude.Rng.int rng 8 in
-        if Index.Txn.reserve txn ~start ~finish:(start + dur) ~procs then incr kept
+        match Index.reserve !idx ~start ~finish:(start + dur) ~procs with
+        | Some i ->
+            idx := i;
+            incr kept
+        | None -> ()
       done;
       if !kept < r_target then Alcotest.failf "built only %d of %d reservations" !kept r_target;
       let vpr = float_of_int (visits () - v_build) /. float_of_int !attempts in
-      let idx = Index.Txn.commit txn in
+      let idx = !idx in
       Index.self_check idx;
       let bps = Index.breakpoints idx in
       if bps < r_target then Alcotest.failf "only %d breakpoints for %d reservations" bps !kept;
@@ -626,8 +531,7 @@ let () =
         prop_release_inverts_reserve;
         prop_release_overfull_refused;
         prop_fold_segments_reproduce_profile;
-        prop_txn_matches_persistent;
-        prop_txn_commit_isolated;
+        prop_reserve_keeps_input;
         prop_update_keys;
       ]
   in

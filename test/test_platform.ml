@@ -143,9 +143,9 @@ let test_latest_fit_none () =
   Alcotest.(check (option int)) "fully booked" None
     (Calendar.latest_fit c ~earliest:0 ~finish_by:100 ~procs:1 ~dur:10)
 
-(* No fit window may end past [max_int] or start after [finish_by]; both
-   forms answer [None] where a wrapped [s + dur] or [finish_by - dur]
-   would have produced a start. *)
+(* No fit window may end past [max_int] or start after [finish_by]; the
+   fit queries answer [None] where a wrapped [s + dur] or
+   [finish_by - dur] would have produced a start. *)
 let test_fit_int_extremes () =
   let c = Calendar.create ~procs:1 in
   let full ~start ~finish = Calendar.reserve c (Reservation.make ~start ~finish ~procs:1) in
@@ -159,12 +159,7 @@ let test_fit_int_extremes () =
     (Calendar.earliest_fit c ~after:(max_int - 2) ~procs:1 ~dur:5);
   let tail = full ~start:0 ~finish:(max_int - 3) in
   some "earliest: only clear run ends past max_int" None
-    (Calendar.earliest_fit tail ~after:0 ~procs:1 ~dur:5);
-  let txn = Calendar.Txn.start tail in
-  some "txn earliest: only clear run ends past max_int" None
-    (Calendar.Txn.earliest_fit txn ~after:0 ~procs:1 ~dur:5);
-  some "txn latest: finish_by - dur wraps" None
-    (Calendar.Txn.latest_fit txn ~earliest:0 ~finish_by:(min_int + 3) ~procs:1 ~dur:5)
+    (Calendar.earliest_fit tail ~after:0 ~procs:1 ~dur:5)
 
 let test_release_roundtrip () =
   let c0 = Calendar.create ~procs:8 in
@@ -195,13 +190,7 @@ let test_release_overflow () =
   Alcotest.check_raises "persistent"
     (Invalid_argument "Calendar.release: reservation was not held on this calendar") (fun () ->
       ignore (Calendar.release c r));
-  Alcotest.check segs "persistent: unchanged" profile (Calendar.segments c ~from_:(-5) ~until:15);
-  let txn = Calendar.Txn.start c in
-  Alcotest.check_raises "txn"
-    (Invalid_argument "Calendar.Txn.release: reservation was not held on this transaction")
-    (fun () -> Calendar.Txn.release txn r);
-  Alcotest.check segs "txn: unchanged" profile
-    (Calendar.segments (Calendar.Txn.commit txn) ~from_:(-5) ~until:15)
+  Alcotest.check segs "persistent: unchanged" profile (Calendar.segments c ~from_:(-5) ~until:15)
 
 let test_busy_rectangles_roundtrip () =
   let c = Calendar.create ~procs:8 in
@@ -493,54 +482,10 @@ let prop_calendar_matches_raw_index =
       && Calendar.breakpoints cal = Mp_index.breakpoints idx
       && Calendar.earliest_fit cal ~after ~procs:np ~dur
          = Mp_index.earliest_fit idx ~after ~procs:np ~dur
+      && Calendar.earliest_fit ~limit:(after + 10) cal ~after ~procs:np ~dur
+         = Mp_index.earliest_fit ~limit:(after + 10) idx ~after ~procs:np ~dur
       && Calendar.latest_fit cal ~earliest:0 ~finish_by:(after + 30) ~procs:np ~dur
          = Mp_index.latest_fit idx ~earliest:0 ~finish_by:(after + 30) ~procs:np ~dur)
-
-(* A Txn must answer every query exactly as the persistent calendar
-   obtained by folding the same reservations with [reserve] would.  The
-   op list is long enough (and interleaves queries between reserves) to
-   exercise the transaction's mutable-root updates over the shared
-   Mp_index tree — cuts at reservation ends plus lazy range adds. *)
-let prop_txn_matches_persistent_fold =
-  QCheck.Test.make ~name:"txn reserve/query sequence matches persistent fold" ~count:200
-    (QCheck.make
-       QCheck.Gen.(
-         pair (gen_reservations 5)
-           (list_size (1 -- 24) (quad (0 -- 40) (1 -- 10) (1 -- 6) (0 -- 45)))))
-    (fun (rs, ops) ->
-      let base = Calendar.of_reservations ~procs:5 rs in
-      let txn = Calendar.Txn.start base in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let cal = ref base in
-      List.iter
-        (fun (s, d, np, after) ->
-          let dur = max 1 (d / 2) in
-          (* read-only queries see the transaction through [commit] *)
-          let cur = Calendar.Txn.commit txn in
-          check (Calendar.available_at cur after = Calendar.available_at !cal after);
-          check
-            (Calendar.Txn.earliest_fit txn ~after ~procs:np ~dur
-            = Calendar.earliest_fit !cal ~after ~procs:np ~dur);
-          (* a [limit] only filters: same answer as the unbounded query when
-             that answer is within the limit, [None] otherwise *)
-          let limit = after + 10 in
-          let unbounded = Calendar.earliest_fit !cal ~after ~procs:np ~dur in
-          let want = match unbounded with Some s when s <= limit -> Some s | _ -> None in
-          check (Calendar.Txn.earliest_fit ~limit txn ~after ~procs:np ~dur = want);
-          check
-            (Calendar.Txn.latest_fit txn ~earliest:0 ~finish_by:(after + 20) ~procs:np ~dur
-            = Calendar.latest_fit !cal ~earliest:0 ~finish_by:(after + 20) ~procs:np ~dur);
-          let r = Reservation.make ~start:s ~finish:(s + d) ~procs:np in
-          check (Calendar.can_reserve cur r = Calendar.can_reserve !cal r);
-          let applied = Calendar.Txn.reserve_opt txn r in
-          (match Calendar.reserve_opt !cal r with
-          | Some cal' ->
-              check applied;
-              cal := cal'
-          | None -> check (not applied)))
-        ops;
-      !ok)
 
 let () =
   let props =
@@ -556,7 +501,6 @@ let () =
         prop_reserve_decreases_availability;
         prop_incremental_reserve_matches_cold_calendar;
         prop_calendar_matches_raw_index;
-        prop_txn_matches_persistent_fold;
       ]
   in
   Alcotest.run "platform"

@@ -234,6 +234,46 @@ let test_engine_stats () =
         (Calendar.available_at (Engine.calendar e ~site:0) 50)
   | r -> Alcotest.failf "stats answered %s" (Response.to_string r)
 
+(* A whole-DAG commit is all-or-nothing.  The submit handler answers a
+   fixed two-slot schedule on a 4-processor site: the first slot fits,
+   the second overcommits next to it, and the site keeps its calendar,
+   the fitting slot included.  A schedule that fits is adopted. *)
+let test_engine_submit_all_or_nothing () =
+  let answer = ref (Response.Error "unset") in
+  let handlers =
+    {
+      Engine.submit = (fun ~algo:_ ~deadline:_ ~q:_ _ _ -> !answer);
+      explain = (fun ~algo:_ ~deadline:_ ~format:_ ~q:_ _ _ -> Response.Error "unused");
+    }
+  in
+  let base =
+    Calendar.reserve (Calendar.create ~procs:4) (Reservation.make ~start:40 ~finish:50 ~procs:1)
+  in
+  let e = Engine.create ~handlers ~sites:[| { Engine.calendar = base; q = 4 } |] () in
+  let submit slots =
+    let slot (start, finish, procs) = { Schedule.start; finish; procs } in
+    let schedule = { Schedule.slots = Array.of_list (List.map slot slots) } in
+    answer := Response.Scheduled { schedule; deadline = None };
+    Engine.handle e ~site:0
+      (Request.Submit_dag { dag = dag_of_seed 1; algo = "BD_CPAR"; deadline = Request.No_deadline })
+  in
+  let segments () = Calendar.segments (Engine.calendar e ~site:0) ~from_:0 ~until:100 in
+  let before = segments () and bps = Calendar.breakpoints (Engine.calendar e ~site:0) in
+  (match submit [ (0, 10, 3); (5, 15, 2) ] with
+  | Response.Error msg ->
+      Alcotest.(check string) "refused" "submit_dag: schedule overcommits the site calendar" msg
+  | r -> Alcotest.failf "overcommitting submit answered %s" (Response.to_string r));
+  let segs = Alcotest.(list (triple int int int)) in
+  Alcotest.check segs "segments unchanged" before (segments ());
+  Alcotest.(check int) "breakpoints unchanged" bps
+    (Calendar.breakpoints (Engine.calendar e ~site:0));
+  (match submit [ (0, 10, 3); (10, 20, 2) ] with
+  | Response.Scheduled _ -> ()
+  | r -> Alcotest.failf "fitting submit answered %s" (Response.to_string r));
+  Alcotest.check segs "schedule adopted"
+    [ (0, 10, 1); (10, 20, 2); (20, 40, 4); (40, 50, 3); (50, 100, 4) ]
+    (segments ())
+
 (* ------------------------------------------------------------------ *)
 (* Serve handlers: the registry-backed submit/explain entry points *)
 
@@ -333,6 +373,10 @@ let test_explain_formats () =
 let envelope ?budget id payload =
   { Request.id; site = 0; arrival = 0; budget; payload }
 
+(* [run] on a pool of one job, which spawns no domain. *)
+let run_seq ?queue_limit ?stats engine envs =
+  Mp_prelude.Pool.with_pool ~jobs:1 (fun pool -> Engine.run ~pool ?queue_limit ?stats engine envs)
+
 let reserve_at start = Request.Reserve { start; dur = 10; procs = 1 }
 
 let test_queue_limit_sheds () =
@@ -340,14 +384,14 @@ let test_queue_limit_sheds () =
      the admitted requests still queued or in service, so two are
      admitted and the rest shed *)
   let envs = List.init 5 (fun i -> envelope i (reserve_at (i * 100))) in
-  let outcomes = Engine.run ~queue_limit:2 (reservation_engine ()) envs in
+  let outcomes = run_seq ~queue_limit:2 (reservation_engine ()) envs in
   let kinds = List.map (fun (o : Engine.outcome) -> Response.kind o.response) outcomes in
   Alcotest.(check (list string))
     "first two admitted, rest shed"
     [ "granted"; "granted"; "overloaded"; "overloaded"; "overloaded" ]
     kinds;
   (* unbounded queue: nobody is shed *)
-  let outcomes = Engine.run (reservation_engine ()) envs in
+  let outcomes = run_seq (reservation_engine ()) envs in
   Alcotest.(check int) "no shedding without a limit" 0
     (List.length
        (List.filter (fun (o : Engine.outcome) -> o.response = Response.Overloaded) outcomes))
@@ -362,7 +406,7 @@ let test_budget_sheds () =
       envelope 2 ~budget:30 (reserve_at 200);
     ]
   in
-  let outcomes = Engine.run (reservation_engine ()) envs in
+  let outcomes = run_seq (reservation_engine ()) envs in
   let kinds = List.map (fun (o : Engine.outcome) -> Response.kind o.response) outcomes in
   Alcotest.(check (list string)) "budget shed" [ "granted"; "overloaded"; "granted" ] kinds;
   match outcomes with
@@ -382,7 +426,7 @@ let test_run_flight_recorder () =
       envelope 2 (Request.Stats { last = 64 });
     ]
   in
-  match Engine.run (reservation_engine ()) envs with
+  match run_seq (reservation_engine ()) envs with
   | [ _; _; { Engine.response = Response.Stats s; _ } ] ->
       Alcotest.(check (list int)) "digests oldest first" [ 0; 1 ]
         (List.map (fun d -> d.Response.d_id) s.Response.recent);
@@ -394,7 +438,7 @@ let test_run_flight_recorder () =
 
 let test_run_unknown_site () =
   let envs = [ { Request.id = 0; site = 9; arrival = 0; budget = None; payload = reserve_at 0 } ] in
-  match Engine.run (reservation_engine ()) envs with
+  match run_seq (reservation_engine ()) envs with
   | [ { Engine.response = Response.Error msg; _ } ] ->
       Alcotest.(check string) "unknown site" "unknown site 9" msg
   | _ -> Alcotest.fail "expected one error outcome"
@@ -618,10 +662,8 @@ let run_with_jobs ?mix seed jobs =
   in
   let sink = Engine.Stats.sink ~every:30 () in
   let outcomes =
-    if jobs = 1 then Engine.run ~queue_limit:4 ~stats:sink engine envelopes
-    else
-      Mp_prelude.Pool.with_pool ~jobs (fun pool ->
-          Engine.run ~pool ~queue_limit:4 ~stats:sink engine envelopes)
+    Mp_prelude.Pool.with_pool ~jobs (fun pool ->
+        Engine.run ~pool ~queue_limit:4 ~stats:sink engine envelopes)
   in
   let rects =
     List.init 3 (fun site ->
@@ -678,7 +720,7 @@ let prop_telemetry_replay_stable =
             ()
         in
         let sink = Engine.Stats.sink ~every:45 () in
-        ignore (Engine.run ~queue_limit:4 ~stats:sink engine envs);
+        ignore (run_seq ~queue_limit:4 ~stats:sink engine envs);
         Mp_forensics.Telemetry.to_jsonl (Engine.Stats.samples sink)
       in
       series envelopes = series reparsed)
@@ -784,6 +826,7 @@ let () =
           Alcotest.test_case "no handlers" `Quick test_engine_no_handlers;
           Alcotest.test_case "unknown site" `Quick test_engine_unknown_site;
           Alcotest.test_case "stats snapshot" `Quick test_engine_stats;
+          Alcotest.test_case "submit is all-or-nothing" `Quick test_engine_submit_all_or_nothing;
         ] );
       ( "serve-handlers",
         [

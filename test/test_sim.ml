@@ -312,10 +312,11 @@ let test_runner_worker_exception () =
 (* Experiments (micro scale) *)
 
 let test_experiments_scales () =
-  Alcotest.(check bool) "quick" true (Experiments.scale_of_string "quick" = Some Experiments.quick);
-  Alcotest.(check bool) "paper" true (Experiments.scale_of_string "paper" = Some Experiments.paper);
-  Alcotest.(check bool) "unknown" true (Experiments.scale_of_string "nope" = None);
-  Alcotest.(check bool) "tiny" true (Experiments.scale_of_string "tiny" = Some Experiments.tiny);
+  let scale name = List.assoc_opt name Experiments.scales in
+  Alcotest.(check bool) "quick" true (scale "quick" = Some Experiments.quick);
+  Alcotest.(check bool) "paper" true (scale "paper" = Some Experiments.paper);
+  Alcotest.(check bool) "unknown" true (scale "nope" = None);
+  Alcotest.(check bool) "tiny" true (scale "tiny" = Some Experiments.tiny);
   Alcotest.(check int) "paper app specs" 40 Experiments.paper.n_app;
   Alcotest.(check int) "paper res specs" 36 Experiments.paper.n_res;
   Alcotest.(check int) "paper dags" 20 Experiments.paper.n_dags;
