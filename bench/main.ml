@@ -1,22 +1,15 @@
 (* Benchmark harness: regenerates every table of the paper.
 
-   Tables 2-7 (and the Section 4.3.1 comparison) are simulation
-   experiments, delegated to Mp_sim.Experiments at a reduced,
-   shape-preserving scale (set MPRES_SCALE=standard or =paper to grow).
-
-   Tables 9 and 10 (algorithm execution times) are timing measurements;
-   they are run under Bechamel (one Test.make per algorithm and sweep
-   point, one group per table), and rendered in the paper's layout.
+   One section per table of Mp_sim.Experiments.tables (Tables 2-10, the
+   Section 4.3.1 comparison, the BL x BD matrix and the ablations) at a
+   reduced, shape-preserving scale (set MPRES_SCALE=standard or =paper to
+   grow), then the calendar-index ladder and the service soak.
 
    Run with:  dune exec bench/main.exe *)
 
-open Bechamel
 module Experiments = Mp_sim.Experiments
-module Instance_ = Mp_sim.Instance
 module Scenario = Mp_sim.Scenario
-module Report = Mp_sim.Report
 module Dag_gen = Mp_dag.Dag_gen
-module Algo = Mp_core.Algo
 module Ressched = Mp_core.Ressched
 module Schedule = Mp_cpa.Schedule
 
@@ -41,176 +34,6 @@ let jobs =
   | None -> Mp_prelude.Pool.default_jobs ()
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches (Tables 9 and 10) *)
-
-(* All sweep points share one Grid'5000-style reservation environment and
-   vary only the application DAG, as in the paper's setup (Table 1
-   defaults except the swept parameter); every algorithm is timed on the
-   same instance. *)
-let shared_env =
-  lazy
-    (let app = { Scenario.label = "bench"; params = Dag_gen.default } in
-     match Instance_.grid5000 ~seed:scale.Experiments.seed ~app ~n_dags:1 ~n_cals:1 with
-     | [ inst ] -> inst.env
-     | _ -> assert false)
-
-let instance_of params =
-  let env = Lazy.force shared_env in
-  let rng = Mp_prelude.Rng.create (Hashtbl.hash (scale.Experiments.seed, params)) in
-  (env, Dag_gen.generate rng params)
-
-let sep = '|'
-
-(* Bechamel's sampling budget per ⟨algorithm, sweep⟩ cell.  The Table 9/10
-   sections are quota-bound (50 cells each), so this is what their
-   wall-clock buys; the per-cell OLS estimates are what the tables
-   print. *)
-let bench_quota =
-  match Sys.getenv_opt "MPRES_BENCH_QUOTA" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some q when q > 0. -> q
-      | _ ->
-          Printf.eprintf "invalid MPRES_BENCH_QUOTA %S; using the default\n%!" s;
-          0.1)
-  | None -> 0.1
-
-(* The environment, DAG and loose deadline of one sweep point, shared by
-   the deterministic counted pass and the Bechamel timing loops. *)
-let sweep_instances sweeps =
-  List.map
-    (fun (label, params) ->
-      let env, dag = instance_of params in
-      let loose = 2 * Schedule.turnaround (Ressched.schedule env dag) in
-      (label, env, dag, loose))
-    sweeps
-
-(* One deterministic run per ⟨algorithm, sweep⟩ cell with the probes at
-   their ambient setting: these runs alone feed the section's Mp_obs
-   counter deltas, so the bench/compare.exe gate covers Tables 9/10. *)
-let counted_pass insts =
-  List.iter
-    (fun (_, env, dag, loose) ->
-      List.iter
-        (fun (a : Algo.ressched) -> if a.name <> "BD_HALF" then ignore (a.run env dag))
-        Algo.ressched_main;
-      List.iter
-        (fun (a : Algo.deadline) -> ignore (a.prepare env dag ~deadline:loose))
-        Algo.deadline_all)
-    insts
-
-let timed_tests (label, env, dag, loose) =
-  let res_tests =
-    List.filter_map
-      (fun (a : Algo.ressched) ->
-        if a.name = "BD_HALF" then None (* not a Table 9/10 row *)
-        else
-          Some
-            (Test.make
-               ~name:(Printf.sprintf "%s%c%s" a.name sep label)
-               (Staged.stage (fun () -> ignore (a.run env dag)))))
-      Algo.ressched_main
-  in
-  let dl_tests =
-    List.map
-      (fun (a : Algo.deadline) ->
-        Test.make
-          ~name:(Printf.sprintf "%s%c%s" a.name sep label)
-          (Staged.stage (fun () -> ignore (a.prepare env dag ~deadline:loose))))
-      Algo.deadline_all
-  in
-  res_tests @ dl_tests
-
-let run_group ~name sweeps =
-  let insts = sweep_instances sweeps in
-  counted_pass insts;
-  let tests = List.concat_map timed_tests insts in
-  let group = Test.make_grouped ~name tests in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second bench_quota) ~stabilize:false ~kde:None ()
-  in
-  (* Bechamel's iteration counts are machine-speed dependent, so freeze
-     the probes during the timed loops: the section's counters stay
-     deterministic (they come from [counted_pass]) and the loops measure
-     the probes-off production path. *)
-  let saved = !Mp_obs.enabled in
-  Mp_obs.enabled := false;
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> Mp_obs.enabled := saved)
-      (fun () -> Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] group)
-  in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  (* name format: "<group>/<algo>|<label>" -> (algo, label) -> ms *)
-  let table : (string * string, float) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun full (res : Analyze.OLS.t) ->
-      match String.index_opt full sep with
-      | None -> ()
-      | Some i ->
-          let prefix = String.sub full 0 i in
-          let algo =
-            match String.rindex_opt prefix '/' with
-            | Some j -> String.sub prefix (j + 1) (String.length prefix - j - 1)
-            | None -> prefix
-          in
-          let label = String.sub full (i + 1) (String.length full - i - 1) in
-          let ms =
-            match Analyze.OLS.estimates res with
-            | Some (ns :: _) -> ns /. 1e6
-            | Some [] | None -> nan
-          in
-          Hashtbl.replace table (algo, label) ms)
-    results;
-  table
-
-let print_timing_table ~title ~labels table =
-  let algos =
-    [
-      "BD_ALL";
-      "BD_CPA";
-      "BD_CPAR";
-      "DL_BD_ALL";
-      "DL_BD_CPA";
-      "DL_BD_CPAR";
-      "DL_RC_CPA";
-      "DL_RC_CPAR";
-      "DL_RC_CPAR-l";
-      "DL_RCBD_CPAR-l";
-    ]
-  in
-  let rows =
-    List.map
-      (fun algo ->
-        algo
-        :: List.map
-             (fun label ->
-               match Hashtbl.find_opt table (algo, label) with
-               | Some ms when not (Float.is_nan ms) -> Printf.sprintf "%.3f" ms
-               | _ -> "-")
-             labels)
-      algos
-  in
-  Report.print ~title ~header:("Algorithm [ms]" :: labels) ~rows
-
-let bench_table9 () =
-  let ns = [ 10; 25; 50; 75; 100 ] in
-  let sweeps = List.map (fun n -> (Printf.sprintf "n=%d" n, { Dag_gen.default with n })) ns in
-  let table = run_group ~name:"table9" sweeps in
-  print_timing_table ~title:"Table 9: execution time [ms] vs task count (Bechamel)"
-    ~labels:(List.map fst sweeps) table
-
-let bench_table10 () =
-  let ds = [ 0.1; 0.3; 0.5; 0.7; 0.9 ] in
-  let sweeps =
-    List.map (fun d -> (Printf.sprintf "d=%.1f" d, { Dag_gen.default with density = d })) ds
-  in
-  let table = run_group ~name:"table10" sweeps in
-  print_timing_table ~title:"Table 10: execution time [ms] vs edge density (Bechamel)"
-    ~labels:(List.map fst sweeps) table
-
-(* ------------------------------------------------------------------ *)
 (* Observability: MPRES_TRACE=<path> enables the Mp_obs probes, prints a
    per-section counter/latency report, and writes a Chrome trace (<path>)
    plus a machine-readable BENCH_obs.json next to it at exit. *)
@@ -227,9 +50,9 @@ let core_sections : Mp_forensics.Baseline.section list ref = ref []
    MPRES_TRACE set it also prints the section's probe deltas and records
    them in BENCH_core.json.  [counters:false] marks sections whose probe
    counts are not reproducible, so the baseline comparison never sees
-   them.  (Tables 9/10 used to be such sections; their counters now come
-   from a deterministic counted pass, with the probes frozen during the
-   machine-speed-dependent Bechamel loops.) *)
+   them.  (Tables 9/10 count each timed cell once, with the probes off
+   during the machine-speed-dependent repeats, so their counters are
+   reproducible.) *)
 (* MPRES_BENCH_ONLY=substr runs only the sections whose title contains
    [substr] — an ad-hoc profiling aid.  The resulting BENCH_core.json is
    partial, so never feed it to bench/compare.exe as a baseline. *)
@@ -407,24 +230,6 @@ let index_rungs =
   | None -> base
   | Some cap -> List.sort_uniq compare (List.map (fun r -> min r cap) base)
 
-(* Promote the tightest-search probe count of a table's run into its
-   metrics block for side-by-side reporting by bench/compare.exe.  Traced
-   runs only: the counters are frozen when the probes are off.
-   [deadline.tightest.probes] also stays in the section's gated
-   counters. *)
-let with_probe_metrics f () =
-  if not !Mp_obs.enabled then f ()
-  else begin
-    let s0 = Mp_obs.Snapshot.take () in
-    f ();
-    let d = Mp_obs.Snapshot.sub (Mp_obs.Snapshot.take ()) ~earlier:s0 in
-    let probes =
-      Option.value ~default:0
-        (List.assoc_opt "deadline.tightest.probes" d.Mp_obs.Snapshot.counters)
-    in
-    set_metrics [ ("tightest_probes", float_of_int probes) ]
-  end
-
 let log2f x = log (float_of_int x) /. log 2.
 
 let bench_index () =
@@ -574,26 +379,22 @@ let write_core_json total_s =
      baseline with bench/compare.exe)\n%!"
     Mp_forensics.Baseline.schema_version
 
-(* A representative Gantt chart of the recommended algorithm on the shared
-   bench environment — a quick visual sanity check, uploaded by CI. *)
+(* A representative Gantt chart of the recommended algorithm on the Table
+   9/10 environment and default DAG — a quick visual sanity check,
+   uploaded by CI. *)
 let write_gantt_svg () =
-  let env, dag = instance_of Dag_gen.default in
-  let sched = Ressched.schedule env dag in
-  let slots =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : Schedule.slot) ->
-           {
-             Mp_forensics.Render.label = string_of_int i;
-             start = s.start;
-             finish = s.finish;
-             procs = s.procs;
-           })
-         sched.Schedule.slots)
+  let app = { Scenario.label = "bench"; params = Dag_gen.default } in
+  let env =
+    match Mp_sim.Instance.grid5000 ~seed:scale.Experiments.seed ~app ~n_dags:1 ~n_cals:1 with
+    | [ inst ] -> inst.env
+    | _ -> assert false
   in
+  let rng = Mp_prelude.Rng.create (Hashtbl.hash (scale.Experiments.seed, Dag_gen.default)) in
+  let sched = Ressched.schedule env (Dag_gen.generate rng Dag_gen.default) in
   Out_channel.with_open_text "BENCH_gantt.svg" (fun oc ->
       Out_channel.output_string oc
-        (Mp_forensics.Render.gantt_svg ~base:env.Mp_core.Env.calendar ~slots ()));
+        (Mp_forensics.Render.gantt_svg ~base:env.Mp_core.Env.calendar
+           ~slots:(Schedule.render_slots sched) ()));
   Printf.printf "Representative Gantt chart written to BENCH_gantt.svg\n%!"
 
 let write_obs_artifacts path =
@@ -624,31 +425,10 @@ let () =
         (fun () ->
           Printf.printf "%d application specifications enumerated from Table 1\n"
             (List.length Scenario.app_specs));
-      section "Table 2" (fun () -> Experiments.print_table2 scale);
-      section "Table 3" (fun () -> Experiments.print_table3 scale);
-      section "Section 4.3.1 (bottom-level methods)" (fun () ->
-          Experiments.print_bl_comparison ~pool scale);
-      section "Table 4" (fun () -> Experiments.print_table4 ~pool scale);
-      section "Table 5" (fun () -> Experiments.print_table5 ~pool scale);
-      section "Table 6" (with_probe_metrics (fun () -> Experiments.print_table6 ~pool scale));
-      section "Table 7" (with_probe_metrics (fun () -> Experiments.print_table7 ~pool scale));
-      section "Table 8" (fun () -> Experiments.print_table8 ());
-      section "Table 9" bench_table9;
-      section "Table 10" bench_table10;
-      section "Ablation: allocators" (fun () -> Experiments.print_allocator_ablation scale);
-      section "Ablation: blind scheduling" (fun () ->
-          Experiments.print_blind_ablation ~pool scale);
-      section "Ablation: online arrivals" (fun () -> Experiments.print_online_ablation scale);
-      section "Ablation: heterogeneous grid" (fun () ->
-          Experiments.print_hetero_ablation scale);
-      section "Ablation: iCASLB bounds" (fun () ->
-          Experiments.print_icaslb_ablation ~pool scale);
-      section "Ablation: reservation impact on batch users" (fun () ->
-          Experiments.print_reservation_impact scale);
-      section "Ablation: CPU-hours vs deadline looseness" (fun () ->
-          Experiments.print_pareto_ablation ~pool scale);
-      section "Ablation: pessimistic estimates" (fun () ->
-          Experiments.print_estimate_ablation ~pool scale);
+      List.iter
+        (fun (t : Experiments.table) ->
+          section t.name (fun () -> print_string (t.text ~pool scale)))
+        Experiments.tables;
       section "Calendar index" bench_index;
       section "Service" (fun () -> bench_service ~pool ()));
   Option.iter write_obs_artifacts trace_path;

@@ -688,59 +688,49 @@ let serve_cmd =
 (* ------------------------------------------------------------------ *)
 (* experiment *)
 
-(* Every table and ablation [experiment] runs, in the order its help
-   lists them.  Only the parallel tables and ablations start worker
-   domains. *)
-let tables =
-  let pooled f ~jobs scale = Mp_prelude.Pool.with_pool ~jobs (fun pool -> f ~pool scale) in
-  let plain f ~jobs:_ scale = f scale in
-  [
-    ("all", pooled Experiments.run_all);
-    ("2", plain Experiments.print_table2);
-    ("3", plain Experiments.print_table3);
-    ("bl", pooled Experiments.print_bl_comparison);
-    ("matrix", pooled Experiments.print_bl_bd_matrix);
-    ("4", pooled Experiments.print_table4);
-    ("5", pooled Experiments.print_table5);
-    ("6", pooled Experiments.print_table6);
-    ("7", pooled Experiments.print_table7);
-    ("8", plain (fun _ -> Experiments.print_table8 ()));
-    ("9", plain Experiments.print_table9);
-    ("10", plain Experiments.print_table10);
-    ("allocators", plain Experiments.print_allocator_ablation);
-    ("blind", pooled Experiments.print_blind_ablation);
-    ("online", plain Experiments.print_online_ablation);
-    ("hetero", plain Experiments.print_hetero_ablation);
-    ("icaslb", pooled Experiments.print_icaslb_ablation);
-    ("impact", plain Experiments.print_reservation_impact);
-    ("pareto", pooled Experiments.print_pareto_ablation);
-    ("estimates", pooled Experiments.print_estimate_ablation);
-  ]
-
+(* [all] prints every table of the registry, one blank line apart; the
+   worker domains start once, around whatever runs. *)
 let experiment scale table jobs trace =
   if jobs < 1 then begin
     Format.eprintf "--jobs must be at least 1@.";
     exit 1
   end;
-  with_trace trace @@ fun () -> List.assoc table tables ~jobs (List.assoc scale Experiments.scales)
+  let scale = List.assoc scale Experiments.scales in
+  let run =
+    List.filter (fun (t : Experiments.table) -> table = "all" || t.id = table) Experiments.tables
+  in
+  with_trace trace @@ fun () ->
+  Mp_prelude.Pool.with_pool ~jobs (fun pool ->
+      List.iteri
+        (fun i (t : Experiments.table) ->
+          if i > 0 then print_newline ();
+          print_string (t.text ~pool scale))
+        run)
 
 let experiment_cmd =
-  (* The options parse to names: a table is a closure, and [huge] has
-     [quick]'s shape. *)
-  let names alts = Arg.enum (List.map (fun (name, _) -> (name, name)) alts) in
+  (* Exact names only: [Arg.enum] would also take any unambiguous prefix
+     ("1" for Table 10, "h" for huge). *)
+  let names alts =
+    Arg.conv'
+      ( (fun s ->
+          if List.mem s alts then Ok s
+          else
+            Error (Printf.sprintf "invalid value '%s', expected %s" s (Arg.doc_alts ~quoted:true alts))),
+        Format.pp_print_string )
+  in
+  let scales = List.map fst Experiments.scales in
+  let ids = "all" :: List.map (fun (t : Experiments.table) -> t.id) Experiments.tables in
   let scale =
     Arg.(
       value
-      & opt (names Experiments.scales) "quick"
-      & info [ "scale" ] ~docv:"SCALE"
-          ~doc:(Printf.sprintf "Scale: %s." (doc_alts_enum Experiments.scales)))
+      & opt (names scales) "quick"
+      & info [ "scale" ] ~docv:"SCALE" ~doc:(Printf.sprintf "Scale: %s." (doc_alts scales)))
   in
   let table =
     Arg.(
       value
-      & pos 0 (names tables) "all"
-      & info [] ~docv:"TABLE"
-          ~doc:(Printf.sprintf "Table id or ablation name: %s." (doc_alts_enum tables)))
+      & pos 0 (names ids) "all"
+      & info [] ~docv:"TABLE" ~doc:(Printf.sprintf "Table id or ablation name: %s." (doc_alts ids)))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's tables")

@@ -25,6 +25,12 @@ let reservations t =
   in
   List.sort Reservation.compare_by_start rs
 
+let render_slots t =
+  List.mapi
+    (fun i s ->
+      { Mp_forensics.Render.label = string_of_int i; start = s.start; finish = s.finish; procs = s.procs })
+    (Array.to_list t.slots)
+
 let validate dag ~base ?deadline t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

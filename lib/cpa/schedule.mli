@@ -29,6 +29,10 @@ val cpu_hours : t -> float
 val reservations : t -> Mp_platform.Reservation.t list
 (** The schedule's slots as reservations, in start order. *)
 
+val render_slots : t -> Mp_forensics.Render.slot list
+(** The slots as chart slots for {!Mp_forensics.Render}, labelled by task
+    index, in task order. *)
+
 val validate :
   Mp_dag.Dag.t -> base:Mp_platform.Calendar.t -> ?deadline:int -> t -> (unit, string) result
 (** Check that the schedule is feasible: every slot has [procs >= 1] within

@@ -38,10 +38,10 @@ let day = 86_400
 let hours s = float_of_int s /. 3600.
 let now () = Unix.gettimeofday ()
 
-(* Every parallel table below takes the caller's [~pool] (reused across
-   all tables by {!run_all}); the fan-out itself lives in {!Runner} and
-   {!Pool.map}, and parallel results are bit-identical to a pool of one
-   worker — see "Parallel experiment engine" in DESIGN.md. *)
+(* Every table's text below takes the caller's [~pool] (the sequential
+   ones ignore it); the fan-out itself lives in {!Runner} and {!Pool.map},
+   and parallel results are bit-identical to a pool of one worker — see
+   "Parallel experiment engine" in DESIGN.md. *)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
@@ -68,7 +68,7 @@ let table2 scale =
       })
     Log_model.all
 
-let print_table2 scale =
+let table2_text ~pool:_ scale =
   let rows =
     List.map
       (fun r ->
@@ -81,7 +81,7 @@ let print_table2 scale =
         ])
       (table2 scale)
   in
-  Report.print ~title:"Table 2: synthetic workload logs (realized characteristics)"
+  Report.render ~title:"Table 2: synthetic workload logs (realized characteristics)"
     ~header:[ "Log"; "#CPUs"; "target util"; "realized util"; "#jobs" ]
     ~rows
 
@@ -173,19 +173,19 @@ let table3 scale =
   in
   { stats; correlations }
 
-let print_table3 scale =
+let table3_text ~pool:_ scale =
   let t = table3 scale in
-  Report.print ~title:"Table 3: per-log windowed statistics"
+  Report.render ~title:"Table 3: per-log windowed statistics"
     ~header:[ "Log"; "avg exec [h]"; "CV exec [%]"; "avg wait [h]"; "CV wait [%]" ]
     ~rows:
       (List.map
          (fun (name, (e : Stats.summary), (w : Stats.summary)) ->
            [ name; Report.f2 e.mean; Report.f2 (e.cv *. 100.); Report.f2 w.mean; Report.f2 (w.cv *. 100.) ])
-         t.stats);
-  print_newline ();
-  Report.print ~title:"Table 3 (cont.): correlation of synthetic methods with Grid'5000 series"
-    ~header:[ "method"; "avg correlation" ]
-    ~rows:(List.map (fun (m, c) -> [ m; Report.f2 c ]) t.correlations)
+         t.stats)
+  ^ "\n"
+  ^ Report.render ~title:"Table 3 (cont.): correlation of synthetic methods with Grid'5000 series"
+      ~header:[ "method"; "avg correlation" ]
+      ~rows:(List.map (fun (m, c) -> [ m; Report.f2 c ]) t.correlations)
 
 (* ------------------------------------------------------------------ *)
 (* Scenario enumeration helpers *)
@@ -265,9 +265,9 @@ let bl_comparison ~pool scale =
     best_shares = shares;
   }
 
-let print_bl_comparison ~pool scale =
+let bl_text ~pool scale =
   let c = bl_comparison ~pool scale in
-  Report.print ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
+  Report.render ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
     ~header:[ "quantity"; "value" ]
     ~rows:
       ([
@@ -323,14 +323,14 @@ let table5 ~pool scale =
 let ressched_header =
   [ "Algorithm"; "TAT deg [%]"; "TAT wins"; "CPUh deg [%]"; "CPUh wins" ]
 
-let print_table4 ~pool scale =
+let table4_text ~pool scale =
   let tat, cpu = table4 ~pool scale in
-  Report.print ~title:"Table 4: RESSCHED, synthetic reservation schedules" ~header:ressched_header
+  Report.render ~title:"Table 4: RESSCHED, synthetic reservation schedules" ~header:ressched_header
     ~rows:(Report.summary_rows tat cpu)
 
-let print_table5 ~pool scale =
+let table5_text ~pool scale =
   let tat, cpu = table5 ~pool scale in
-  Report.print ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules" ~header:ressched_header
+  Report.render ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules" ~header:ressched_header
     ~rows:(Report.summary_rows tat cpu)
 
 (* Extended: the full 16-combination BL x BD matrix (the paper only
@@ -351,9 +351,9 @@ let bl_bd_matrix ~pool scale =
   in
   summarize_ressched results
 
-let print_bl_bd_matrix ~pool scale =
+let matrix_text ~pool scale =
   let tat, cpu = bl_bd_matrix ~pool scale in
-  Report.print ~title:"Extended: all 16 BL x BD combinations (RESSCHED, synthetic schedules)"
+  Report.render ~title:"Extended: all 16 BL x BD combinations (RESSCHED, synthetic schedules)"
     ~header:ressched_header ~rows:(Report.summary_rows tat cpu)
 
 (* ------------------------------------------------------------------ *)
@@ -419,74 +419,30 @@ let table6 ~pool scale =
 let deadline_header =
   [ "Algorithm"; "tightest deg [%]"; "wins"; "CPUh@loose deg [%]"; "wins" ]
 
-let print_table6 ~pool scale =
-  List.iter
-    (fun (label, tight, cpu) ->
-      Report.print
-        ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
-        ~header:deadline_header ~rows:(Report.summary_rows tight cpu);
-      print_newline ())
-    (table6 ~pool scale)
+(* Each column group is followed by a blank line. *)
+let table6_text ~pool scale =
+  String.concat ""
+    (List.map
+       (fun (label, tight, cpu) ->
+         Report.render
+           ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
+           ~header:deadline_header ~rows:(Report.summary_rows tight cpu)
+         ^ "\n")
+       (table6 ~pool scale))
 
 let table7 ~pool scale =
   table6_column ~pool scale ~algos:Algo.deadline_hybrid `Grid5000
 
-let print_table7 ~pool scale =
+let table7_text ~pool scale =
   let tight, cpu = table7 ~pool scale in
-  Report.print ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
+  Report.render ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
     ~header:deadline_header ~rows:(Report.summary_rows tight cpu)
-
-(* The exact text of [standard_tables.out] at any scale: Tables 4-7 and
-   the Section 4.3.1 comparison, with ===Tn===/===BL=== separators.  The
-   golden-file regression test renders it at {!tiny} scale, so formatting
-   or algorithm drift shows up in [dune runtest] instead of only in the
-   checked-in artifact. *)
-let standard_tables ~pool scale =
-  let buf = Buffer.create 4096 in
-  let tat4, cpu4 = table4 ~pool scale in
-  Buffer.add_string buf
-    (Report.render ~title:"Table 4: RESSCHED, synthetic reservation schedules"
-       ~header:ressched_header ~rows:(Report.summary_rows tat4 cpu4));
-  Buffer.add_string buf "===T5===\n";
-  let tat5, cpu5 = table5 ~pool scale in
-  Buffer.add_string buf
-    (Report.render ~title:"Table 5: RESSCHED, Grid'5000 reservation schedules"
-       ~header:ressched_header ~rows:(Report.summary_rows tat5 cpu5));
-  Buffer.add_string buf "===T6===\n";
-  List.iter
-    (fun (label, tight, cpu) ->
-      Buffer.add_string buf
-        (Report.render
-           ~title:(Printf.sprintf "Table 6 (%s): deadline algorithms" label)
-           ~header:deadline_header ~rows:(Report.summary_rows tight cpu));
-      Buffer.add_char buf '\n')
-    (table6 ~pool scale);
-  Buffer.add_string buf "===T7===\n";
-  let tight7, cpu7 = table7 ~pool scale in
-  Buffer.add_string buf
-    (Report.render ~title:"Table 7: hybrid deadline algorithms, Grid'5000 schedules"
-       ~header:deadline_header ~rows:(Report.summary_rows tight7 cpu7));
-  Buffer.add_string buf "===BL===\n";
-  let c = bl_comparison ~pool scale in
-  Buffer.add_string buf
-    (Report.render
-       ~title:"Section 4.3.1: bottom-level method comparison (improvement over BL_1)"
-       ~header:[ "quantity"; "value" ]
-       ~rows:
-         ([
-            [ "min improvement [%]"; Report.f2 c.improvement_min ];
-            [ "max improvement [%]"; Report.f2 c.improvement_max ];
-          ]
-         @ List.map
-             (fun (name, s) -> [ name ^ " best share [%]"; Report.f1 (s *. 100.) ])
-             c.best_shares));
-  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Table 8 (static) *)
 
-let print_table8 () =
-  Report.print ~title:"Table 8: worst-case asymptotic complexities"
+let table8_text ~pool:_ _ =
+  Report.render ~title:"Table 8: worst-case asymptotic complexities"
     ~header:[ "Algorithm"; "Complexity" ]
     ~rows:
       [
@@ -507,8 +463,15 @@ let print_table8 () =
 
 type timing_row = { algo_name : string; times_ms : (string * float) list }
 
+(* Mean CPU milliseconds per run of [f].  The first run keeps the probes
+   as they are, so a traced run counts each cell exactly once; the timed
+   repeats (at least 3, and at least 40 ms of CPU time in all) run with
+   the probes off, so they measure the production path. *)
 let time_ms f =
-  (* Repeat until at least ~40 ms of cumulative CPU time for stability. *)
+  f ();
+  let saved = !Mp_obs.enabled in
+  Mp_obs.enabled := false;
+  Fun.protect ~finally:(fun () -> Mp_obs.enabled := saved) @@ fun () ->
   let t0 = Sys.time () in
   let reps = ref 0 in
   let elapsed () = Sys.time () -. t0 in
@@ -518,45 +481,36 @@ let time_ms f =
   done;
   elapsed () /. float_of_int !reps *. 1000.
 
-let timing_instances scale params =
-  let app = { Scenario.label = Format.asprintf "%a" Dag_gen.pp_params params; params } in
-  Instance.grid5000 ~seed:scale.seed ~app ~n_dags:(max 2 scale.n_dags)
-    ~n_cals:(max 2 (scale.n_cals / 2))
-
-let timed_algorithms (instances : Instance.t list) =
-  (* A feasible deadline for the timing runs of the DL_* algorithms. *)
-  let deadlines =
-    List.map
-      (fun (inst : Instance.t) ->
-        2 * Schedule.turnaround (Ressched.schedule inst.env inst.dag))
-      instances
-  in
-  let res (a : Algo.ressched) =
-    ( a.name,
-      fun () -> List.iter (fun (inst : Instance.t) -> ignore (a.run inst.env inst.dag)) instances )
-  in
-  let dl (a : Algo.deadline) =
-    ( a.name,
-      fun () ->
-        List.iter2
-          (fun (inst : Instance.t) deadline -> ignore (a.prepare inst.env inst.dag ~deadline))
-          instances deadlines )
-  in
-  List.map res Algo.ressched_main @ List.map dl Algo.deadline_all
-
+(* Every sweep point of a table shares one Grid'5000-style environment
+   and varies only the application DAG (Table 1 defaults except the swept
+   parameter), as in the paper's setup.  A row per Table 8 algorithm; the
+   DL_* rows get a loose deadline of twice the RESSCHED turn-around. *)
 let timing_sweep scale sweeps =
-  (* [sweeps]: (column label, params) list *)
+  let env =
+    let app = { Scenario.label = "bench"; params = Dag_gen.default } in
+    match Instance.grid5000 ~seed:scale.seed ~app ~n_dags:1 ~n_cals:1 with
+    | [ inst ] -> inst.env
+    | _ -> assert false
+  in
   let columns =
     List.map
       (fun (label, params) ->
-        let instances = timing_instances scale params in
-        let per_algo =
-          List.map
-            (fun (name, run) ->
-              (name, time_ms run /. float_of_int (List.length instances)))
-            (timed_algorithms instances)
+        let dag = Dag_gen.generate (Rng.create (Hashtbl.hash (scale.seed, params))) params in
+        let loose = 2 * Schedule.turnaround (Ressched.schedule env dag) in
+        let res =
+          List.filter_map
+            (fun (a : Algo.ressched) ->
+              if a.name = "BD_HALF" then None
+              else Some (a.name, time_ms (fun () -> ignore (a.run env dag))))
+            Algo.ressched_main
         in
-        (label, per_algo))
+        let dl =
+          List.map
+            (fun (a : Algo.deadline) ->
+              (a.name, time_ms (fun () -> ignore (a.prepare env dag ~deadline:loose))))
+            Algo.deadline_all
+        in
+        (label, res @ dl))
       sweeps
   in
   match columns with
@@ -581,21 +535,22 @@ let table10 scale =
   timing_sweep scale
     (List.map (fun d -> (Printf.sprintf "d=%.1f" d, { Dag_gen.default with density = d })) ds)
 
-let print_timing ~title rows =
+let timing_text ~title rows =
   match rows with
-  | [] -> ()
+  | [] -> ""
   | first :: _ ->
-      Report.print ~title
+      Report.render ~title
         ~header:("Algorithm" :: List.map fst first.times_ms)
         ~rows:
           (List.map
              (fun r -> r.algo_name :: List.map (fun (_, ms) -> Report.f3 ms) r.times_ms)
              rows)
 
-let print_table9 scale = print_timing ~title:"Table 9: execution time [ms] vs task count" (table9 scale)
+let table9_text ~pool:_ scale =
+  timing_text ~title:"Table 9: execution time [ms] vs task count" (table9 scale)
 
-let print_table10 scale =
-  print_timing ~title:"Table 10: execution time [ms] vs edge density" (table10 scale)
+let table10_text ~pool:_ scale =
+  timing_text ~title:"Table 10: execution time [ms] vs edge density" (table10 scale)
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
@@ -627,8 +582,8 @@ let allocator_ablation scale =
       { allocator; avg_makespan_h = Stats.mean mks; avg_work_h = Stats.mean works })
     allocators
 
-let print_allocator_ablation scale =
-  Report.print ~title:"Ablation: mixed-parallel allocators on a dedicated 64-processor cluster"
+let allocators_text ~pool:_ scale =
+  Report.render ~title:"Ablation: mixed-parallel allocators on a dedicated 64-processor cluster"
     ~header:[ "Allocator"; "avg makespan [h]"; "avg CPU-hours" ]
     ~rows:
       (List.map
@@ -682,9 +637,9 @@ let blind_ablation ~pool scale =
       })
     [ 1; 2; 4; 8; 16; 32; 128; 512 ]
 
-let print_blind_ablation ~pool scale =
+let blind_text ~pool scale =
   let rows = blind_ablation ~pool scale in
-  Report.print
+  Report.render
     ~title:"Ablation: trial-and-error scheduling (no calendar visibility) vs omniscient BD_CPAR"
     ~header:[ "probe budget"; "turn-around penalty [%]"; "probes per task" ]
     ~rows:
@@ -748,8 +703,8 @@ let online_ablation scale =
       })
     [ 0.0; 0.5; 1.0; 2.0; 4.0 ]
 
-let print_online_ablation scale =
-  Report.print
+let online_text ~pool:_ scale =
+  Report.render
     ~title:
       "Ablation: mid-scheduling competitor arrivals (frozen-calendar assumption removed)"
     ~header:[ "arrivals/step"; "turn-around penalty [%]"; "competitors granted" ]
@@ -793,8 +748,8 @@ let icaslb_ablation ~pool scale =
       })
     [ Bound.BD_ONE; BD_CPA; BD_ICASLB; BD_CPAR; BD_ICASLBR ]
 
-let print_icaslb_ablation ~pool scale =
-  Report.print
+let icaslb_text ~pool scale =
+  Report.render
     ~title:"Ablation: allocation-bound sources (rigid / CPA / iCASLB; RESSCHED)"
     ~header:[ "bound source"; "avg turn-around [h]"; "avg CPU-hours" ]
     ~rows:
@@ -865,8 +820,8 @@ let hetero_ablation scale =
       })
     [ Mp_core.Hressched.HBD_ALL; HBD_CPAR ]
 
-let print_hetero_ablation scale =
-  Report.print
+let hetero_text ~pool:_ scale =
+  Report.render
     ~title:"Ablation: heterogeneous 3-site grid (fast/mid/slow), HCPA-style reference allocation"
     ~header:[ "bound"; "avg turn-around [h]"; "avg CPU-hours"; "fast-site share [%]" ]
     ~rows:
@@ -932,12 +887,12 @@ let pareto_ablation ~pool scale =
       { slack; rows })
     [ 1.0; 1.25; 1.5; 2.0; 3.0; 5.0 ]
 
-let print_pareto_ablation ~pool scale =
+let pareto_text ~pool scale =
   let results = pareto_ablation ~pool scale in
   let header =
     "deadline / tightest" :: (match results with [] -> [] | r :: _ -> List.map fst r.rows)
   in
-  Report.print
+  Report.render
     ~title:"Ablation: CPU-hours vs deadline looseness (Grid'5000 schedules)"
     ~header
     ~rows:
@@ -990,8 +945,8 @@ let reservation_impact scale =
   { injected = "none"; avg_wait_min = mean_wait baseline; app_cpu_hours = 0. }
   :: List.map rows_for [ Bound.BD_CPAR; Bound.BD_ALL ]
 
-let print_reservation_impact scale =
-  Report.print
+let impact_text ~pool:_ scale =
+  Report.render
     ~title:"Ablation: impact of the application's reservations on batch users (SDSC_DS stream)"
     ~header:[ "app schedule"; "batch avg wait [min]"; "app CPU-hours" ]
     ~rows:
@@ -1044,14 +999,14 @@ let estimate_ablation ~pool scale =
       { factor; rows })
     [ 1.0; 1.2; 1.5; 2.0 ]
 
-let print_estimate_ablation ~pool scale =
+let estimates_text ~pool scale =
   let results = estimate_ablation ~pool scale in
   let header =
     "factor"
     :: List.concat_map (fun (name, _, _) -> [ name ^ " TAT[h]"; name ^ " CPUh" ])
          (match results with [] -> [] | r :: _ -> r.rows)
   in
-  Report.print ~title:"Ablation: pessimistic execution-time estimates (reservations billed in full)"
+  Report.render ~title:"Ablation: pessimistic execution-time estimates (reservations billed in full)"
     ~header
     ~rows:
       (List.map
@@ -1062,38 +1017,27 @@ let print_estimate_ablation ~pool scale =
 
 (* ------------------------------------------------------------------ *)
 
-let run_all ~pool scale =
-  print_table2 scale;
-  print_newline ();
-  print_table3 scale;
-  print_newline ();
-  print_bl_comparison ~pool scale;
-  print_newline ();
-  print_table4 ~pool scale;
-  print_newline ();
-  print_table5 ~pool scale;
-  print_newline ();
-  print_table6 ~pool scale;
-  print_table7 ~pool scale;
-  print_newline ();
-  print_table8 ();
-  print_newline ();
-  print_table9 scale;
-  print_newline ();
-  print_table10 scale;
-  print_newline ();
-  print_allocator_ablation scale;
-  print_newline ();
-  print_blind_ablation ~pool scale;
-  print_newline ();
-  print_online_ablation scale;
-  print_newline ();
-  print_hetero_ablation scale;
-  print_newline ();
-  print_icaslb_ablation ~pool scale;
-  print_newline ();
-  print_reservation_impact scale;
-  print_newline ();
-  print_pareto_ablation ~pool scale;
-  print_newline ();
-  print_estimate_ablation ~pool scale
+type table = { id : string; name : string; text : pool:Pool.t -> scale -> string }
+
+let tables =
+  [
+    { id = "2"; name = "Table 2"; text = table2_text };
+    { id = "3"; name = "Table 3"; text = table3_text };
+    { id = "bl"; name = "Section 4.3.1 (bottom-level methods)"; text = bl_text };
+    { id = "matrix"; name = "Extended: BL x BD matrix"; text = matrix_text };
+    { id = "4"; name = "Table 4"; text = table4_text };
+    { id = "5"; name = "Table 5"; text = table5_text };
+    { id = "6"; name = "Table 6"; text = table6_text };
+    { id = "7"; name = "Table 7"; text = table7_text };
+    { id = "8"; name = "Table 8"; text = table8_text };
+    { id = "9"; name = "Table 9"; text = table9_text };
+    { id = "10"; name = "Table 10"; text = table10_text };
+    { id = "allocators"; name = "Ablation: allocators"; text = allocators_text };
+    { id = "blind"; name = "Ablation: blind scheduling"; text = blind_text };
+    { id = "online"; name = "Ablation: online arrivals"; text = online_text };
+    { id = "hetero"; name = "Ablation: heterogeneous grid"; text = hetero_text };
+    { id = "icaslb"; name = "Ablation: iCASLB bounds"; text = icaslb_text };
+    { id = "impact"; name = "Ablation: reservation impact on batch users"; text = impact_text };
+    { id = "pareto"; name = "Ablation: CPU-hours vs deadline looseness"; text = pareto_text };
+    { id = "estimates"; name = "Ablation: pessimistic estimates"; text = estimates_text };
+  ]

@@ -33,8 +33,6 @@ let render ~title ~header ~rows =
   List.iter add_row rows;
   Buffer.contents buf
 
-let print ~title ~header ~rows = print_string (render ~title ~header ~rows)
-
 let summary_rows (m1 : Metrics.row list) (m2 : Metrics.row list) =
   List.map2
     (fun (a : Metrics.row) (b : Metrics.row) ->

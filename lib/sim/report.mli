@@ -5,9 +5,6 @@ val render : title:string -> header:string list -> rows:string list list -> stri
 (** Fixed-width table with a title line and a header rule.  Column widths
     fit the longest cell. *)
 
-val print : title:string -> header:string list -> rows:string list list -> unit
-(** [render] to stdout. *)
-
 val f1 : float -> string
 (** One decimal place ("12.3"); infinity prints as "inf". *)
 

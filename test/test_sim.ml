@@ -322,22 +322,27 @@ let test_experiments_scales () =
   Alcotest.(check int) "paper dags" 20 Experiments.paper.n_dags;
   Alcotest.(check int) "paper cals" 50 Experiments.paper.n_cals
 
-(* Golden-file regression: the exact standard_tables.out rendering at tiny
-   scale, pinned against a checked-in file so report-formatting or
-   algorithm drift is caught by [dune runtest] instead of by eyeballing
-   the repository-root artifact.  Regenerate the file by printing
-   [Experiments.standard_tables ~pool Experiments.tiny] on a pool of one
-   worker. *)
+(* Golden-file regression: the registry texts of Tables 4-7 and the
+   Section 4.3.1 comparison at tiny scale, with ===Tn===/===BL===
+   separators, pinned against a checked-in file so report-formatting or
+   algorithm drift is caught by [dune runtest].  Regenerate the file by
+   printing [standard_tables] below. *)
+let standard_tables () =
+  Pool.with_pool ~jobs:1 (fun pool ->
+      String.concat ""
+        (List.map
+           (fun (marker, id) ->
+             let t = List.find (fun (t : Experiments.table) -> t.id = id) Experiments.tables in
+             marker ^ t.text ~pool Experiments.tiny)
+           [ ("", "4"); ("===T5===\n", "5"); ("===T6===\n", "6"); ("===T7===\n", "7"); ("===BL===\n", "bl") ]))
+
 let test_standard_tables_golden () =
   let path =
     if Sys.file_exists "standard_tables_tiny.expected" then "standard_tables_tiny.expected"
     else Filename.concat "test" "standard_tables_tiny.expected"
   in
   let expected = In_channel.with_open_bin path In_channel.input_all in
-  let actual =
-    Pool.with_pool ~jobs:1 (fun pool -> Experiments.standard_tables ~pool Experiments.tiny)
-  in
-  Alcotest.(check string) "tiny-scale tables match golden file" expected actual
+  Alcotest.(check string) "tiny-scale tables match golden file" expected (standard_tables ())
 
 let test_experiments_table2 () =
   let rows = Experiments.table2 micro in
