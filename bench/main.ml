@@ -394,7 +394,7 @@ let write_gantt_svg () =
   Out_channel.with_open_text "BENCH_gantt.svg" (fun oc ->
       Out_channel.output_string oc
         (Mp_forensics.Render.gantt_svg ~base:env.Mp_core.Env.calendar
-           ~slots:(Schedule.render_slots sched) ()));
+           ~slots:(Schedule.render_slots sched)));
   Printf.printf "Representative Gantt chart written to BENCH_gantt.svg\n%!"
 
 let write_obs_artifacts path =

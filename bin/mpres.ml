@@ -256,22 +256,20 @@ let print_schedule ?(gantt = false) ?svg_file ?(json = false) (inst : Instance.t
   Format.printf "cluster p=%d, q=%d, competing breakpoints=%d@." inst.env.p inst.env.q
     (Mp_platform.Calendar.breakpoints inst.env.calendar);
   Format.printf "%a@." Schedule.pp sched;
-  let competing () =
+  let base = inst.env.calendar and slots = Schedule.render_slots sched in
+  if gantt then print_string (Mp_forensics.Render.gantt_ascii ~base ~slots);
+  if json then begin
     let until = max 1 (Schedule.turnaround sched + 3_600) in
-    Mp_platform.Calendar.busy_rectangles inst.env.calendar ~from_:0 ~until
-  in
-  if gantt then
-    print_string
-      (Mp_cpa.Gantt.ascii ~procs:inst.env.p ~competing:(competing ()) sched);
-  if json then print_endline (Schedule.to_json ~competing:(competing ()) sched);
+    let competing = Mp_platform.Calendar.busy_rectangles base ~from_:0 ~until in
+    print_endline (Schedule.to_json ~competing sched)
+  end;
   match svg_file with
   | None -> ()
   | Some path ->
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Mp_cpa.Gantt.svg ~procs:inst.env.p ~competing:(competing ()) sched));
+        (fun () -> output_string oc (Mp_forensics.Render.gantt_svg ~base ~slots));
       Format.printf "gantt chart written to %s@." path
 
 (* The single name→algorithm registry lives in [Algo]; the CLI only

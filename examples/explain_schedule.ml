@@ -55,14 +55,7 @@ let () =
   Format.printf "@.%a@." Analytics.pp a;
 
   (* 3. Gantt SVG: colored application slots over the grey competitors. *)
-  let slots =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : Schedule.slot) ->
-           { Render.label = string_of_int i; start = s.start; finish = s.finish; procs = s.procs })
-         sched.Schedule.slots)
-  in
-  let svg = Render.gantt_svg ~base:calendar ~slots () in
+  let svg = Render.gantt_svg ~base:calendar ~slots:(Schedule.render_slots sched) in
   Out_channel.with_open_text "explain_schedule.svg" (fun oc ->
       Out_channel.output_string oc svg);
   print_endline "Gantt chart written to explain_schedule.svg"

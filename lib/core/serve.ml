@@ -44,13 +44,7 @@ let render_explain ~header ~format ~base sched entries =
   let until = max 1 turnaround in
   let final_cal = List.fold_left Calendar.reserve base (Schedule.reservations sched) in
   let analytics = Analytics.analyze final_cal ~from_:0 ~until in
-  let slots =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : Schedule.slot) ->
-           { Render.label = string_of_int i; start = s.start; finish = s.finish; procs = s.procs })
-         sched.Schedule.slots)
-  in
+  let slots = Schedule.render_slots sched in
   match format with
   | "text" ->
       let buf = Buffer.create 4096 in
@@ -62,11 +56,11 @@ let render_explain ~header ~format ~base sched entries =
       Ok
         (Journal.to_jsonl entries
         ^ Printf.sprintf "{\"event\":\"analytics\",\"data\":%s}\n" (Analytics.to_json analytics))
-  | "svg" -> Ok (Render.gantt_svg ~base ~slots ())
+  | "svg" -> Ok (Render.gantt_svg ~base ~slots)
   | "html" ->
       Ok
         (Render.html ~title:header
-           ~gantt:(Render.gantt_svg ~base ~slots ())
+           ~gantt:(Render.gantt_svg ~base ~slots)
            ~profile:(Render.profile_svg base ~from_:0 ~until)
            ~analytics:(Format.asprintf "%a" Analytics.pp analytics)
            ~story:(Journal.story entries))

@@ -3,11 +3,10 @@ module Reservation = Mp_platform.Reservation
 
 type slot = { label : string; start : int; finish : int; procs : int }
 
-(* First-fit assignment of concrete processor rows, as in Mp_cpa.Gantt:
-   items in start order each take the first rows free at their start.
-   Capacity feasibility guarantees enough rows; over-capacity input (e.g.
-   slots not from a validated schedule) is skipped rather than drawn
-   wrongly. *)
+(* First-fit assignment of concrete processor rows: items in start order
+   each take the first rows free at their start.  Capacity feasibility
+   guarantees enough rows; over-capacity input (e.g. slots not from a
+   validated schedule) is skipped rather than drawn wrongly. *)
 let assign ~procs items =
   let busy_until = Array.make (max 1 procs) min_int in
   List.filter_map
@@ -48,13 +47,11 @@ let profile_points cal ~from_ ~until =
     (Calendar.fold_segments cal ~from_ ~until ~init:[] ~f:(fun acc ~start ~finish ~avail ->
          (start, finish, avail) :: acc))
 
-let gantt_svg ?(width = 960) ?row_height ~base ~slots () =
-  if width < 100 then invalid_arg "Render.gantt_svg: width < 100";
-  let procs = Calendar.procs base in
-  (* Default row height adapts so big clusters stay under ~720 px tall. *)
-  let row_height =
-    match row_height with Some r -> max 1 r | None -> max 1 (min 10 (720 / max 1 procs))
-  in
+(* What both Gantt charts draw: the base calendar's competing reservations
+   up to an hour past the last slot, and the slots, in start order with
+   their first-fit processor rows ([true] marks a competitor), over the
+   time span they cover.  Also returns the competitor count. *)
+let placement ~base ~slots =
   let slot_hi = List.fold_left (fun acc s -> max acc s.finish) 0 slots in
   let competing = Calendar.busy_rectangles base ~from_:0 ~until:(max 1 slot_hi + 3_600) in
   let items =
@@ -66,8 +63,60 @@ let gantt_svg ?(width = 960) ?row_height ~base ~slots () =
   let items =
     List.sort (fun ((a : slot), _) ((b : slot), _) -> compare (a.start, a.finish) (b.start, b.finish)) items
   in
-  let placed = assign ~procs items in
-  let lo, hi = span items in
+  (assign ~procs:(Calendar.procs base) items, span items, List.length competing)
+
+let task_char =
+  let letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" in
+  fun i -> letters.[i mod String.length letters]
+
+let gantt_ascii ~base ~slots =
+  let width = 100 and procs = Calendar.procs base in
+  let placed, (lo, hi), _ = placement ~base ~slots in
+  let scale t = (t - lo) * width / max 1 (hi - lo) in
+  (* down-sample processors onto at most 40 display rows *)
+  let rows = min procs 40 in
+  let row_of p = p * rows / procs in
+  let grid = Array.make_matrix rows width '.' in
+  let task_index = ref 0 in
+  List.iter
+    (fun ((it : slot), competing, ps) ->
+      let c =
+        if competing then '#'
+        else begin
+          let c = task_char !task_index in
+          incr task_index;
+          c
+        end
+      in
+      let x0 = max 0 (scale (max lo it.start)) in
+      let x1 = max (x0 + 1) (scale (min hi it.finish)) in
+      List.iter
+        (fun p ->
+          let r = row_of p in
+          for x = x0 to min (width - 1) (x1 - 1) do
+            (* tasks overwrite idle and competing marks; never other tasks *)
+            if grid.(r).(x) = '.' || (grid.(r).(x) = '#' && c <> '#') then grid.(r).(x) <- c
+          done)
+        ps)
+    placed;
+  let buf = Buffer.create ((rows + 2) * (width + 8)) in
+  Buffer.add_string buf
+    (Printf.sprintf "time %d .. %d s (%.1f h), %d processors on %d rows\n" lo hi
+       (float_of_int (hi - lo) /. 3600.)
+       procs rows);
+  Array.iteri
+    (fun r line ->
+      Buffer.add_string buf (Printf.sprintf "%3d|" r);
+      Buffer.add_string buf (String.init width (Array.get line));
+      Buffer.add_char buf '\n')
+    grid;
+  Buffer.contents buf
+
+let gantt_svg ~base ~slots =
+  let width = 960 and procs = Calendar.procs base in
+  (* Row height adapts so big clusters stay under ~720 px tall. *)
+  let row_height = max 1 (min 10 (720 / max 1 procs)) in
+  let placed, (lo, hi), n_competing = placement ~base ~slots in
   let margin = 40 in
   let strip_h = 40 (* availability profile strip *) in
   let w = width - (2 * margin) in
@@ -148,12 +197,13 @@ let gantt_svg ?(width = 960) ?row_height ~base ~slots () =
   Buffer.add_string buf
     (Printf.sprintf
        "<text x=\"%d\" y=\"%d\" fill=\"#333333\">%d processors, %d scheduled tasks, %d competing reservations</text>\n"
-       margin (height - 10) procs (List.length slots) (List.length competing));
+       margin (height - 10) procs (List.length slots) n_competing);
   Buffer.add_string buf "</svg>\n";
   Buffer.contents buf
 
-let profile_svg ?(width = 960) ?(height = 240) cal ~from_ ~until =
+let profile_svg cal ~from_ ~until =
   if from_ >= until then invalid_arg "Render.profile_svg: empty window";
+  let width = 960 and height = 240 in
   let procs = Calendar.procs cal in
   let margin = 40 in
   let w = width - (2 * margin) and h = height - 60 in

@@ -259,55 +259,6 @@ let test_icaslb_invalid_args () =
       ignore (Icaslb.schedule ~p:0 d))
 
 (* ------------------------------------------------------------------ *)
-(* Gantt *)
-
-let test_gantt_items_order () =
-  let d = diamond () in
-  let sched = Mapping.map d ~allocs:[| 1; 1; 1; 1 |] ~p:4 in
-  let competing = [ Mp_platform.Reservation.make ~start:5 ~finish:20 ~procs:1 ] in
-  let items = Gantt.items ~competing sched in
-  Alcotest.(check int) "4 tasks + 1 reservation" 5 (List.length items);
-  let starts = List.map (fun (it : Gantt.item) -> it.start) items in
-  Alcotest.(check (list int)) "sorted by start" (List.sort compare starts) starts
-
-let test_gantt_ascii_shape () =
-  let d = diamond () in
-  let sched = Mapping.map d ~allocs:[| 2; 2; 2; 2 |] ~p:4 in
-  let s = Gantt.ascii ~width:60 ~procs:4 ~competing:[] sched in
-  let lines = String.split_on_char '\n' s in
-  (* header + 4 processor rows (+ trailing empty) *)
-  Alcotest.(check int) "lines" 6 (List.length lines);
-  Alcotest.(check bool) "has task marks" true (String.contains s 'a')
-
-let test_gantt_ascii_competing_marks () =
-  let d = diamond () in
-  let sched = Mapping.map d ~allocs:[| 1; 1; 1; 1 |] ~p:4 in
-  let competing = [ Mp_platform.Reservation.make ~start:0 ~finish:1000 ~procs:2 ] in
-  let s = Gantt.ascii ~procs:4 ~competing sched in
-  Alcotest.(check bool) "has competing marks" true (String.contains s '#')
-
-let test_gantt_svg_well_formed () =
-  let d = diamond () in
-  let sched = Mapping.map d ~allocs:[| 2; 1; 2; 4 |] ~p:4 in
-  let competing = [ Mp_platform.Reservation.make ~start:10 ~finish:500 ~procs:1 ] in
-  let s = Gantt.svg ~procs:4 ~competing sched in
-  Alcotest.(check bool) "opens svg" true (String.length s > 5 && String.sub s 0 4 = "<svg");
-  let has_substr needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "closes svg" true (has_substr "</svg>" s);
-  Alcotest.(check bool) "has rects" true (has_substr "<rect" s);
-  Alcotest.(check bool) "labels a task" true (has_substr ">t0<" s || has_substr ">t3<" s)
-
-let test_gantt_ascii_invalid_width () =
-  let d = diamond () in
-  let sched = Mapping.map d ~allocs:[| 1; 1; 1; 1 |] ~p:4 in
-  Alcotest.check_raises "width" (Invalid_argument "Gantt.ascii: width < 10") (fun () ->
-      ignore (Gantt.ascii ~width:5 ~procs:4 ~competing:[] sched))
-
-(* ------------------------------------------------------------------ *)
 (* Properties *)
 
 let arb_seed_n = QCheck.(pair small_int (QCheck.make QCheck.Gen.(8 -- 40)))
@@ -512,14 +463,6 @@ let () =
           Alcotest.test_case "no worse than all-ones" `Quick test_icaslb_no_worse_than_sequential_allocs;
           Alcotest.test_case "competitive with cpa" `Quick test_icaslb_competitive_with_cpa;
           Alcotest.test_case "invalid args" `Quick test_icaslb_invalid_args;
-        ] );
-      ( "gantt",
-        [
-          Alcotest.test_case "items order" `Quick test_gantt_items_order;
-          Alcotest.test_case "ascii shape" `Quick test_gantt_ascii_shape;
-          Alcotest.test_case "ascii competing marks" `Quick test_gantt_ascii_competing_marks;
-          Alcotest.test_case "svg well-formed" `Quick test_gantt_svg_well_formed;
-          Alcotest.test_case "ascii invalid width" `Quick test_gantt_ascii_invalid_width;
         ] );
       ("properties", props);
     ]

@@ -330,16 +330,14 @@ let check_svg name svg =
 
 let test_svg_edge_cases () =
   let base = Calendar.create ~procs:4 in
-  check_svg "empty slot list" (Render.gantt_svg ~base ~slots:[] ());
+  check_svg "empty slot list" (Render.gantt_svg ~base ~slots:[]);
   check_svg "single slot"
     (Render.gantt_svg ~base
-       ~slots:[ { Render.label = "0"; start = 0; finish = 100; procs = 2 } ]
-       ());
+       ~slots:[ { Render.label = "0"; start = 0; finish = 100; procs = 2 } ]);
   let full = Calendar.reserve base (Reservation.make ~start:0 ~finish:100_000 ~procs:4) in
   check_svg "fully reserved calendar"
     (Render.gantt_svg ~base:full
-       ~slots:[ { Render.label = "0"; start = 100_000; finish = 100_100; procs = 4 } ]
-       ());
+       ~slots:[ { Render.label = "0"; start = 100_000; finish = 100_100; procs = 4 } ]);
   check_svg "profile" (Render.profile_svg (busy_calendar 17) ~from_:0 ~until:40_000);
   check_svg "profile of empty window start" (Render.profile_svg base ~from_:0 ~until:1)
 
@@ -347,14 +345,7 @@ let test_svg_from_real_schedule () =
   let env = busy_env 19 in
   let dag = random_dag 20 12 in
   let sched = Ressched.schedule env dag in
-  let slots =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : Schedule.slot) ->
-           { Render.label = string_of_int i; start = s.start; finish = s.finish; procs = s.procs })
-         sched.Schedule.slots)
-  in
-  let svg = Render.gantt_svg ~base:env.calendar ~slots () in
+  let svg = Render.gantt_svg ~base:env.calendar ~slots:(Schedule.render_slots sched) in
   check_svg "real schedule" svg;
   let html =
     Render.html ~title:"t" ~gantt:svg
@@ -363,6 +354,35 @@ let test_svg_from_real_schedule () =
   in
   Alcotest.(check bool) "html escapes pre text" true (contains html "a &lt; b");
   Alcotest.(check bool) "html embeds svg" true (contains html "<svg")
+
+(* The text Gantt chart: a header line, one line per processor row, and
+   competing reservations marked where no slot covers them. *)
+let test_gantt_ascii_shape () =
+  let base = Calendar.create ~procs:4 in
+  let slots =
+    [
+      { Render.label = "0"; start = 0; finish = 600; procs = 2 };
+      { Render.label = "1"; start = 600; finish = 1_800; procs = 4 };
+    ]
+  in
+  let s = Render.gantt_ascii ~base ~slots in
+  let lines = String.split_on_char '\n' s in
+  (* header + 4 processor rows (+ trailing empty) *)
+  Alcotest.(check int) "lines" 6 (List.length lines);
+  Alcotest.(check int) "row width" 104 (String.length (List.nth lines 1));
+  Alcotest.(check bool) "first slot marked" true (String.contains s 'a');
+  Alcotest.(check bool) "second slot marked" true (String.contains s 'b');
+  Alcotest.(check bool) "no competitor" false (String.contains s '#')
+
+let test_gantt_ascii_competing_marks () =
+  let base = Calendar.reserve (Calendar.create ~procs:4) (Reservation.make ~start:0 ~finish:1_000 ~procs:2) in
+  let slots = [ { Render.label = "0"; start = 0; finish = 500; procs = 2 } ] in
+  let s = Render.gantt_ascii ~base ~slots in
+  Alcotest.(check bool) "has competing marks" true (String.contains s '#');
+  Alcotest.(check bool) "has the slot" true (String.contains s 'a');
+  (* 120 processors down-sample onto 40 rows *)
+  let big = Render.gantt_ascii ~base:(Calendar.create ~procs:120) ~slots in
+  Alcotest.(check int) "rows capped" 42 (List.length (String.split_on_char '\n' big))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: round trip and regression verdicts *)
@@ -654,6 +674,11 @@ let () =
           Alcotest.test_case "domain isolation" `Quick test_journal_domain_isolation;
           Alcotest.test_case "disabled probes do not allocate" `Quick
             test_disabled_probes_do_not_allocate;
+        ] );
+      ( "gantt",
+        [
+          Alcotest.test_case "ascii shape" `Quick test_gantt_ascii_shape;
+          Alcotest.test_case "ascii competing marks" `Quick test_gantt_ascii_competing_marks;
         ] );
       ( "render",
         [
