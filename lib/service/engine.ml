@@ -131,28 +131,16 @@ let span_admission = Mp_obs.Span.make "service.admission"
 let span_fit = Mp_obs.Span.make "service.fit"
 let span_commit = Mp_obs.Span.make "service.commit"
 let timer_handle = Mp_obs.Timer.make "service.handle"
-let c_granted = Mp_obs.Counter.make "service.granted"
-let c_rejected = Mp_obs.Counter.make "service.rejected"
-let c_available = Mp_obs.Counter.make "service.available"
-let c_scheduled = Mp_obs.Counter.make "service.scheduled"
-let c_infeasible = Mp_obs.Counter.make "service.infeasible"
-let c_cancelled = Mp_obs.Counter.make "service.cancelled"
-let c_explained = Mp_obs.Counter.make "service.explained"
-let c_overloaded = Mp_obs.Counter.make "service.overloaded"
-let c_stats = Mp_obs.Counter.make "service.stats"
-let c_error = Mp_obs.Counter.make "service.error"
+(* One [service.<kind>] counter per response kind, registered in
+   {!Response.kinds} order. *)
+let c_responses =
+  Array.map (fun k -> Mp_obs.Counter.make ("service." ^ k)) (Array.of_list Response.kinds)
 
-let count_response = function
-  | Response.Granted -> Mp_obs.Counter.incr c_granted
-  | Response.Rejected _ -> Mp_obs.Counter.incr c_rejected
-  | Response.Available _ -> Mp_obs.Counter.incr c_available
-  | Response.Scheduled _ -> Mp_obs.Counter.incr c_scheduled
-  | Response.Infeasible _ -> Mp_obs.Counter.incr c_infeasible
-  | Response.Cancelled -> Mp_obs.Counter.incr c_cancelled
-  | Response.Explained _ -> Mp_obs.Counter.incr c_explained
-  | Response.Overloaded -> Mp_obs.Counter.incr c_overloaded
-  | Response.Stats _ -> Mp_obs.Counter.incr c_stats
-  | Response.Error _ -> Mp_obs.Counter.incr c_error
+(* Count [resp] on its kind's counter and return its kind index. *)
+let count_response resp =
+  let k = Response.kind_index resp in
+  Mp_obs.Counter.incr c_responses.(k);
+  k
 
 (* The index's traversal counter, read per-domain at window boundaries to
    report visits-per-window in the telemetry series.  [run_site] executes
@@ -271,7 +259,7 @@ let dispatch t site (r : Request.t) =
 let handle t ~site r =
   if site < 0 || site >= Array.length t.sites then begin
     let resp = Response.Error (Printf.sprintf "unknown site %d" site) in
-    count_response resp;
+    ignore (count_response resp);
     resp
   end
   else begin
@@ -282,8 +270,8 @@ let handle t ~site r =
     let resp = try dispatch t s r with Invalid_argument msg -> Response.Error msg in
     Mp_obs.Timer.stop timer_handle t0;
     Mp_obs.Span.exit span_request;
-    s.counts.(Response.kind_index resp) <- s.counts.(Response.kind_index resp) + 1;
-    count_response resp;
+    let k = count_response resp in
+    s.counts.(k) <- s.counts.(k) + 1;
     resp
   end
 
@@ -418,11 +406,9 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
     site.queue_depth <- Queue.length inflight;
     let shed cause =
       Mp_obs.Span.exit span_admission;
-      let resp = Response.Overloaded in
-      count_response resp;
-      site.counts.(Response.kind_index resp) <- site.counts.(Response.kind_index resp) + 1;
-      ring_push site.ring ~id:e.id ~arrival:e.arrival ~started:e.arrival
-        ~kind:(Response.kind_index resp);
+      let k = count_response Response.Overloaded in
+      site.counts.(k) <- site.counts.(k) + 1;
+      ring_push site.ring ~id:e.id ~arrival:e.arrival ~started:e.arrival ~kind:k;
       (match (acc, cause) with
       | Some a, `Queue -> a.w_shed_queue <- a.w_shed_queue + 1
       | Some a, `Budget -> a.w_shed_budget <- a.w_shed_budget + 1
@@ -432,7 +418,7 @@ let run_site t ~queue_limit ~measure ?stats site_idx envelopes =
       | `Budget -> site.shed_budget <- site.shed_budget + 1);
       Mp_obs.Tag.clear ();
       { id = e.id; site = site_idx; arrival = e.arrival; started = e.arrival;
-        response = resp; wall_ns = 0 }
+        response = Response.Overloaded; wall_ns = 0 }
     in
     if Queue.length inflight >= queue_limit then shed `Queue
     else begin
@@ -497,7 +483,7 @@ let run ~pool ?(queue_limit = max_int) ?(measure = false) ?stats t envelopes =
       (fun (e : Request.envelope) ->
         if e.site < 0 || e.site >= n then begin
           let response = Response.Error (Printf.sprintf "unknown site %d" e.site) in
-          count_response response;
+          ignore (count_response response);
           Some
             { id = e.id; site = e.site; arrival = e.arrival; started = e.arrival;
               response; wall_ns = 0 }

@@ -27,35 +27,29 @@ type t =
   | Stats of stats
   | Error of string
 
-let kind = function
-  | Granted -> "granted"
-  | Rejected _ -> "rejected"
-  | Available _ -> "available"
-  | Scheduled _ -> "scheduled"
-  | Infeasible _ -> "infeasible"
-  | Cancelled -> "cancelled"
-  | Explained _ -> "explained"
-  | Overloaded -> "overloaded"
-  | Stats _ -> "stats"
-  | Error _ -> "error"
-
 (* Canonical kind order: index into the engine's per-site count array and
    the order [Stats.counts] is reported in. *)
-let kinds =
-  [
+let kind_index = function
+  | Granted -> 0
+  | Rejected _ -> 1
+  | Available _ -> 2
+  | Scheduled _ -> 3
+  | Infeasible _ -> 4
+  | Cancelled -> 5
+  | Explained _ -> 6
+  | Overloaded -> 7
+  | Stats _ -> 8
+  | Error _ -> 9
+
+let kind_names =
+  [|
     "granted"; "rejected"; "available"; "scheduled"; "infeasible"; "cancelled"; "explained";
     "overloaded"; "stats"; "error";
-  ]
+  |]
 
-let n_kinds = List.length kinds
-
-let kind_index r =
-  let k = kind r in
-  let rec go i = function
-    | [] -> assert false
-    | k' :: tl -> if k = k' then i else go (i + 1) tl
-  in
-  go 0 kinds
+let kinds = Array.to_list kind_names
+let n_kinds = Array.length kind_names
+let kind r = kind_names.(kind_index r)
 
 let int_opt = function None -> Json.Null | Some i -> Json.Num (float_of_int i)
 

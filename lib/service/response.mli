@@ -84,8 +84,8 @@ val kinds : string list
 val n_kinds : int
 
 val kind_index : t -> int
-(** Position of [kind r] in {!kinds} — the engine's per-site count
-    arrays are indexed by it. *)
+(** Position of [kind r] in {!kinds}, [0] to [n_kinds - 1] — the engine's
+    per-site count arrays and per-kind counters are indexed by it. *)
 
 val to_json : t -> Mp_prelude.Json.t
 val to_string : t -> string
