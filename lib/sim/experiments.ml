@@ -483,47 +483,44 @@ let time_ms f =
 
 (* Every sweep point of a table shares one Grid'5000-style environment
    and varies only the application DAG (Table 1 defaults except the swept
-   parameter), as in the paper's setup.  A row per Table 8 algorithm; the
-   DL_* rows get a loose deadline of twice the RESSCHED turn-around. *)
+   parameter), as in the paper's setup.  A row per Table 8 algorithm
+   (BD_HALF is not one); the DL_* rows get a loose deadline of twice the
+   RESSCHED turn-around. *)
 let timing_sweep scale sweeps =
   let env =
+    (* the app label seeds the environment: "bench" keeps the calendar the
+       benchmark harness has timed these tables on *)
     let app = { Scenario.label = "bench"; params = Dag_gen.default } in
     match Instance.grid5000 ~seed:scale.seed ~app ~n_dags:1 ~n_cals:1 with
     | [ inst ] -> inst.env
     | _ -> assert false
   in
-  let columns =
+  let points =
     List.map
       (fun (label, params) ->
         let dag = Dag_gen.generate (Rng.create (Hashtbl.hash (scale.seed, params))) params in
-        let loose = 2 * Schedule.turnaround (Ressched.schedule env dag) in
-        let res =
-          List.filter_map
-            (fun (a : Algo.ressched) ->
-              if a.name = "BD_HALF" then None
-              else Some (a.name, time_ms (fun () -> ignore (a.run env dag))))
-            Algo.ressched_main
-        in
-        let dl =
-          List.map
-            (fun (a : Algo.deadline) ->
-              (a.name, time_ms (fun () -> ignore (a.prepare env dag ~deadline:loose))))
-            Algo.deadline_all
-        in
-        (label, res @ dl))
+        (label, dag, 2 * Schedule.turnaround (Ressched.schedule env dag)))
       sweeps
   in
-  match columns with
-  | [] -> []
-  | (_, first) :: _ ->
-      List.map
-        (fun (algo_name, _) ->
-          {
-            algo_name;
-            times_ms =
-              List.map (fun (label, per_algo) -> (label, List.assoc algo_name per_algo)) columns;
-          })
-        first
+  let row algo_name run =
+    {
+      algo_name;
+      times_ms =
+        List.map (fun (label, dag, loose) -> (label, time_ms (fun () -> run dag loose))) points;
+    }
+  in
+  let res =
+    List.filter_map
+      (fun (a : Algo.ressched) ->
+        if a.name = "BD_HALF" then None
+        else Some (row a.name (fun dag _ -> ignore (a.run env dag))))
+      Algo.ressched_main
+  in
+  res
+  @ List.map
+      (fun (a : Algo.deadline) ->
+        row a.name (fun dag loose -> ignore (a.prepare env dag ~deadline:loose)))
+      Algo.deadline_all
 
 let table9 scale =
   let ns = [ 10; 25; 50; 75; 100 ] in
