@@ -494,41 +494,70 @@ let test_hetero_avoids_reserved_site () =
     (fun (s : Hressched.slot) -> Alcotest.(check int) "slow site chosen" 1 s.site)
     sched.slots
 
-let test_hetero_single_site_matches_homogeneous () =
-  (* One site at speed 1 with the same calendar and the same availability
-     estimate: the heterogeneous scheduler degenerates to the homogeneous
-     BD_CPAR one. *)
+(* One site at speed 1 with the same calendar and the same availability
+   estimate: the heterogeneous scheduler degenerates to the homogeneous
+   BD_CPAR one (forward) and DL_BD_CPAR one (backward). *)
+let single_site_instance seed =
   let day = 86_400 in
+  let rng = Rng.create seed in
+  let p = 8 in
+  let rs =
+    List.filter_map
+      (fun _ ->
+        let start = Rng.int rng 40_000 in
+        let dur = 600 + Rng.int rng 4_000 in
+        Some (Reservation.make ~start ~finish:(start + dur) ~procs:(1 + Rng.int rng (p / 2))))
+      (List.init 10 Fun.id)
+  in
+  (* keep a feasible subset *)
+  let cal, rs =
+    List.fold_left
+      (fun (cal, kept) r ->
+        match Calendar.reserve_opt cal r with
+        | Some cal -> (cal, r :: kept)
+        | None -> (cal, kept))
+      (Calendar.create ~procs:p, [])
+      rs
+  in
+  let q = Calendar.average_available cal ~from_:0 ~until:(7 * day) in
+  let env = Env.make ~calendar:cal ~q in
+  let grid = Grid.make [ ({ Grid.name = "only"; procs = p; speed = 1.0 }, rs) ] in
+  (env, grid, random_dag (seed + 900))
+
+(* A homogeneous schedule as the one-site grid schedule it must equal. *)
+let on_site_0 (s : Schedule.t) =
+  {
+    Hressched.slots =
+      Array.map
+        (fun (sl : Schedule.slot) ->
+          { Hressched.site = 0; start = sl.start; finish = sl.finish; procs = sl.procs })
+        s.slots;
+  }
+
+let hetero_schedule = Alcotest.testable Hressched.pp ( = )
+
+let test_hetero_single_site_matches_homogeneous () =
   for seed = 85 to 88 do
-    let rng = Rng.create seed in
-    let p = 8 in
-    let rs =
-      List.filter_map
-        (fun _ ->
-          let start = Rng.int rng 40_000 in
-          let dur = 600 + Rng.int rng 4_000 in
-          Some (Reservation.make ~start ~finish:(start + dur) ~procs:(1 + Rng.int rng (p / 2))))
-        (List.init 10 Fun.id)
-    in
-    (* keep a feasible subset *)
-    let cal, rs =
-      List.fold_left
-        (fun (cal, kept) r ->
-          match Calendar.reserve_opt cal r with
-          | Some cal -> (cal, r :: kept)
-          | None -> (cal, kept))
-        (Calendar.create ~procs:p, [])
-        rs
-    in
-    let q = Calendar.average_available cal ~from_:0 ~until:(7 * day) in
-    let env = Env.make ~calendar:cal ~q in
-    let grid = Grid.make [ ({ Grid.name = "only"; procs = p; speed = 1.0 }, rs) ] in
-    let dag = random_dag (seed + 900) in
-    let homog = Ressched.schedule ~bl:BL_CPAR ~bd:BD_CPAR env dag in
-    let hetero = Hressched.schedule ~bd:HBD_CPAR grid dag in
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d: same turnaround" seed)
-      (Schedule.turnaround homog) (Hressched.turnaround hetero)
+    let env, grid, dag = single_site_instance seed in
+    Alcotest.check hetero_schedule
+      (Printf.sprintf "seed %d: same slots" seed)
+      (on_site_0 (Ressched.schedule ~bl:BL_CPAR ~bd:BD_CPAR env dag))
+      (Hressched.schedule ~bd:HBD_CPAR grid dag)
+  done
+
+let test_hetero_single_site_deadline_matches_homogeneous () =
+  for seed = 85 to 88 do
+    let env, grid, dag = single_site_instance seed in
+    let t = Schedule.turnaround (Ressched.schedule ~bl:BL_CPAR ~bd:BD_CPAR env dag) in
+    let homog = Deadline.aggressive DL_BD_CPAR env dag in
+    let hetero = Hressched.deadline ~bd:HBD_CPAR grid dag in
+    List.iter
+      (fun deadline ->
+        Alcotest.(check (option hetero_schedule))
+          (Printf.sprintf "seed %d, K = %d: same slots" seed deadline)
+          (Option.map on_site_0 (homog ~deadline))
+          (hetero ~deadline))
+      [ t / 2; t; 2 * t; 4 * t ]
   done
 
 let test_hetero_cpar_cheaper_than_all () =
@@ -876,6 +905,8 @@ let () =
           Alcotest.test_case "avoids reserved site" `Quick test_hetero_avoids_reserved_site;
           Alcotest.test_case "single site = homogeneous" `Quick
             test_hetero_single_site_matches_homogeneous;
+          Alcotest.test_case "single site = homogeneous, backward" `Quick
+            test_hetero_single_site_deadline_matches_homogeneous;
           Alcotest.test_case "cpar cheaper than all" `Quick test_hetero_cpar_cheaper_than_all;
           Alcotest.test_case "speed scaling" `Quick test_hetero_speed_scaling;
           Alcotest.test_case "deadline meets" `Quick test_hetero_deadline_meets;
