@@ -22,63 +22,75 @@ let c_probes = Mp_obs.Counter.make "deadline.tightest.probes"
 let sp_place = Mp_obs.Span.make "deadline.place"
 let sp_backward = Mp_obs.Span.make "deadline.backward"
 
-(* Latest-start placement among the task's distinct-duration processor
-   counts up to a per-task bound: the aggressive move, also used as
-   fallback by the conservative algorithms. *)
-let place_latest cal task ~dl ~(cands : Task.candidates) =
-  (* Candidates by descending processor count (ascending duration): once
-     [dl - dur] falls below the best start found, no remaining (longer)
-     candidate can start later, so the scan stops.  On loose deadlines the
-     very first candidate ends the loop. *)
-  let nps = cands.Task.nps and durs = cands.Task.durs in
+(* Latest-start placement over every site, among each site's
+   distinct-duration processor counts up to a per-task bound: the
+   aggressive move, also used as fallback by the conservative algorithms.
+   The best fit so far is ⟨bsite, bs, bf, bnp⟩; [bs = min_int] until there
+   is one. *)
+let place_latest cals task ~dl ~(cands : Task.candidates array) =
   let journal = Mp_forensics.Journal.enabled () in
-  if journal then
+  if journal then begin
+    (* one entry for every site: their bounds and candidates summed *)
+    let sum f = Array.fold_left (fun acc c -> acc + f c) 0 cands in
     Mp_forensics.Journal.begin_placement Mp_forensics.Journal.Backward ~task:task.Task.id
-      ~anchor:dl ~bound:cands.Task.bound ~evaluated:(Array.length nps);
-  let rec go best c =
-    if c < 0 then best
-    else
-      let np = nps.(c) and dur = durs.(c) in
-      match best with
-      | Some (bs, _, _) when dl - dur < bs ->
-          Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.Early_cut;
-          best
-      | _ -> (
-          (* A fit strictly before the best start is discarded below (the
-             scan's processor counts only decrease, so an equal start always
-             wins its tie), so the query may stop the moment its window
-             drops below [bs] — raising [earliest] to [bs] changes no
-             placement, only how soon a losing scan gives up.  With the
-             journal on, keep the unbounded query so the recorded
-             candidates (starts of beaten fits) stay exactly as before;
-             the extra work is placement-identical by the same argument. *)
-          let earliest =
-            if journal then 0
-            else match best with None -> 0 | Some (bs, _, _) -> Int.max 0 bs
-          in
-          match Calendar.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
-          | None ->
-              Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
-              go best (c - 1)
-          | Some s as fit ->
-              let better =
-                match best with None -> true | Some (bs, _, bnp) -> s > bs || (s = bs && np < bnp)
-              in
-              Mp_forensics.Journal.cand ~procs:np ~dur ~fit
-                (if better then Mp_forensics.Journal.Leading else Mp_forensics.Journal.Beaten);
-              go (if better then Some (s, s + dur, np) else best) (c - 1))
+      ~anchor:dl ~bound:(sum (fun c -> c.Task.bound))
+      ~evaluated:(sum (fun c -> Array.length c.Task.nps))
+  end;
+  let rec sites site bsite bs bf bnp =
+    if site = Array.length cals then (bsite, bs, bf, bnp)
+    else begin
+      let cal = cals.(site) and { Task.nps; durs; _ } = cands.(site) in
+      (* Candidates by descending processor count (ascending duration):
+         once [dl - dur] falls below the best start found, no remaining
+         (longer) candidate of this site can start later, so the site's
+         scan stops.  On loose deadlines the very first candidate ends
+         the loop. *)
+      let rec go c bsite bs bf bnp =
+        if c < 0 then sites (site + 1) bsite bs bf bnp
+        else
+          let np = nps.(c) and dur = durs.(c) in
+          if dl - dur < bs then begin
+            Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.Early_cut;
+            sites (site + 1) bsite bs bf bnp
+          end
+          else
+            (* A later candidate must strictly win, so a fit starting
+               before [bs] is discarded below: the query may stop the
+               moment its window drops below [bs], which changes no
+               placement, only how soon a losing scan gives up.  With
+               the journal on, keep the unbounded query so the recorded
+               candidates (starts of beaten fits) stay exactly as before;
+               the extra work is placement-identical by the same
+               argument. *)
+            let earliest = if journal then 0 else Int.max 0 bs in
+            match Calendar.latest_fit cal ~earliest ~finish_by:dl ~procs:np ~dur with
+            | None ->
+                Mp_forensics.Journal.cand ~procs:np ~dur ~fit:None Mp_forensics.Journal.No_fit;
+                go (c - 1) bsite bs bf bnp
+            | Some s as fit ->
+                let better = s > bs || (s = bs && np < bnp) in
+                Mp_forensics.Journal.cand ~procs:np ~dur ~fit
+                  (if better then Mp_forensics.Journal.Leading else Mp_forensics.Journal.Beaten);
+                if better then go (c - 1) site s (s + dur) np else go (c - 1) bsite bs bf bnp
+      in
+      go (Array.length nps - 1) bsite bs bf bnp
+    end
   in
-  match go None (Array.length nps - 1) with
-  | Some (s, fin, np) as slot ->
-      Mp_forensics.Journal.end_placement ~procs:np ~start:s ~finish:fin;
-      slot
-  | None ->
-      Mp_forensics.Journal.end_placement_failed ();
-      None
+  let ((site, s, fin, np) as slot) = sites 0 (-1) min_int 0 max_int in
+  if site < 0 then begin
+    Mp_forensics.Journal.end_placement_failed ();
+    None
+  end
+  else begin
+    Mp_forensics.Journal.end_placement ~procs:np ~start:s ~finish:fin;
+    Some slot
+  end
 
 (* Fewest processors whose earliest feasible start clears [threshold] while
-   still finishing by [dl].  [jctx] carries (reference, lambda) for the
-   decision journal only — never consulted by the placement itself. *)
+   still finishing by [dl], on one calendar; the slot comes back in
+   {!place_latest}'s ⟨site, start, finish, procs⟩ shape, site 0.  [jctx]
+   carries (reference, lambda) for the decision journal only — never
+   consulted by the placement itself. *)
 let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) =
   let threshold = Int.max 0 threshold in
   let nps = cands.Task.nps and durs = cands.Task.durs in
@@ -116,7 +128,7 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
                 Mp_forensics.Journal.Leading;
               Mp_forensics.Journal.end_placement ~procs:np ~start:s ~finish:(s + dur)
             end;
-            Some (s, s + dur, np)
+            Some (0, s, s + dur, np)
         | Some _ as fit ->
             Mp_forensics.Journal.cand ~procs:np ~dur ~fit Mp_forensics.Journal.Misses_deadline;
             try_candidates (c + 1)
@@ -129,12 +141,12 @@ let place_conservative ?jctx cal task ~dl ~threshold ~(cands : Task.candidates) 
 
 (* Shared backward list-scheduling loop over a precomputed increasing
    bottom-level order.  [place] decides one task's slot given the current
-   calendar and the task's completion deadline. *)
+   calendar (the one site of [cals]) and the task's completion deadline. *)
 let backward ~order (env : Env.t) dag ~deadline ~place =
   Mp_obs.Span.wrap sp_backward @@ fun () ->
   let nb = Dag.n dag in
   let slots = Array.make nb ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
-  let cal = ref env.calendar in
+  let cals = [| env.calendar |] in
   let rec go k =
     if k < 0 then Some { Schedule.slots }
     else begin
@@ -143,13 +155,13 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
         Array.fold_left (fun acc j -> Int.min acc slots.(j).Schedule.start) deadline (Dag.succs dag i)
       in
       Mp_obs.Span.enter sp_place;
-      let slot = place !cal ~k ~i ~dl in
+      let slot = place cals ~k ~i ~dl in
       Mp_obs.Span.exit sp_place;
       match slot with
       | None -> None
-      | Some (s, fin, np) ->
+      | Some (_, s, fin, np) ->
           Mp_obs.Counter.incr c_tasks_placed;
-          cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+          cals.(0) <- Calendar.reserve cals.(0) (Reservation.make ~start:s ~finish:fin ~procs:np);
           slots.(i) <- { start = s; finish = fin; procs = np };
           go (k - 1)
     end
@@ -165,11 +177,11 @@ let backward ~order (env : Env.t) dag ~deadline ~place =
    share one {!Allocation.per_procs} table, so each processor count's CPA
    allocation runs once. *)
 
-(* One candidate table per task, computed when the prepared closure is
-   built and shared by every deadline probe (and every placement of every
-   probe) thereafter. *)
+(* One candidate table per task, for the one site, computed when the
+   prepared closure is built and shared by every deadline probe (and every
+   placement of every probe) thereafter. *)
 let candidate_tables dag ~bound_of =
-  Array.init (Dag.n dag) (fun i -> Task.candidates (Dag.task dag i) ~max_np:(bound_of i))
+  Array.init (Dag.n dag) (fun i -> [| Task.candidates (Dag.task dag i) ~max_np:(bound_of i) |])
 
 let aggressive algo (env : Env.t) dag =
   let cpa = Allocation.per_procs dag in
@@ -182,8 +194,8 @@ let aggressive algo (env : Env.t) dag =
   in
   let cands = candidate_tables dag ~bound_of:(fun i -> Int.max 1 bounds.(i)) in
   fun ~deadline ->
-    backward ~order env dag ~deadline ~place:(fun cal ~k:_ ~i ~dl ->
-        place_latest cal (Dag.task dag i) ~dl ~cands:cands.(i))
+    backward ~order env dag ~deadline ~place:(fun cals ~k:_ ~i ~dl ->
+        place_latest cals (Dag.task dag i) ~dl ~cands:cands.(i))
 
 let resource_conservative ?(bounded_fallback = false) algo (env : Env.t) dag =
   let cpa = Allocation.per_procs dag in
@@ -206,7 +218,7 @@ let resource_conservative ?(bounded_fallback = false) algo (env : Env.t) dag =
     (* written so that a NaN lambda fails too *)
     if not (lambda >= 0. && lambda <= 1.) then
       invalid_arg "Deadline.resource_conservative: lambda";
-    backward ~order env dag ~deadline ~place:(fun cal ~k ~i ~dl ->
+    backward ~order env dag ~deadline ~place:(fun cals ~k ~i ~dl ->
         let reference = Mapping.reference_start refs k in
         let threshold =
           reference + int_of_float (Float.round (lambda *. float_of_int (dl - reference)))
@@ -214,9 +226,12 @@ let resource_conservative ?(bounded_fallback = false) algo (env : Env.t) dag =
         let jctx =
           if Mp_forensics.Journal.enabled () then Some (reference, lambda) else None
         in
-        match place_conservative ?jctx cal (Dag.task dag i) ~dl ~threshold ~cands:cons_cands.(i) with
+        match
+          place_conservative ?jctx cals.(0) (Dag.task dag i) ~dl ~threshold
+            ~cands:cons_cands.(i).(0)
+        with
         | Some slot -> Some slot
-        | None -> place_latest cal (Dag.task dag i) ~dl ~cands:fb_cands.(i))
+        | None -> place_latest cals (Dag.task dag i) ~dl ~cands:fb_cands.(i))
 
 (* λ_k = min 1 (k·step), k = 0..n_steps — an integer grid, not repeated
    float accumulation, so the probed values carry no accumulated

@@ -86,19 +86,52 @@ val hybrid :
     paper; pass [true] for DL_RCBD_CPAR-λ).  Same precomputation and
     memo notes as {!resource_conservative}. *)
 
+val place_latest :
+  Mp_platform.Calendar.t array ->
+  Mp_dag.Task.t ->
+  dl:int ->
+  cands:Mp_dag.Task.candidates array ->
+  (int * int * int * int) option
+(** The one latest-start placement decision, over one calendar per site:
+    [place_latest cals task ~dl ~cands] is the ⟨site, start, finish,
+    processors⟩ with the latest start at or after time 0 that finishes
+    by [dl], among every site [s]'s candidate processor counts
+    [cands.(s)] (from {!Mp_dag.Task.candidates}, whose [durs] may be
+    site-scaled) on [cals.(s)], or [None] when nothing fits.  Sites are
+    scanned in index order, each by descending processor count, and a
+    later candidate wins only with a later start or, at equal start,
+    fewer processors: ties go to fewer processors, then the lower site.
+    The aggressive algorithms and the conservative fallback pass one
+    site; {!Hressched.deadline} passes its grid.
+
+    Each site's scan stops early once no remaining candidate can start
+    later, and the best start so far bounds the calendar queries of
+    every later candidate; neither changes the decision.  With
+    journaling on, the placement is one [Backward]
+    {!Mp_forensics.Journal} entry, whose bound and candidate count sum
+    over the sites.  The caller reserves the returned slot on
+    [cals.(site)]. *)
+
 val lower_bound : Env.t -> Mp_dag.Dag.t -> int
 (** A deadline no algorithm can beat: the critical-path length with every
     task on all [p] processors, ignoring reservations. *)
 
 val search :
   ?resolution:int -> lo:int -> (deadline:int -> 'a option) -> (int * 'a) option
-(** [search ~lo probe] finds the smallest deadline [probe] meets, to
+(** [search ~lo probe] looks for the smallest deadline [probe] meets, to
     [resolution] seconds (default 60), as in the paper's evaluation
     (Section 5.3).  The upper bracket is found by doubling from
     [lo' = max 1 lo]: the first deadline among [lo' · 2^j],
     [j = 0 … 21], that [probe] meets, or [None] if there is none.
     Bisection then narrows [(lo', bracket]] and returns the last met
-    midpoint, or the bracket.  For a [probe] whose feasibility is a
+    midpoint, or the bracket.
+
+    For any [probe], an answer [Some (k, x)] is met ([x] is what
+    [probe ~deadline:k] returned), and unless [k = lo'], some deadline in
+    [[k - resolution, k)] was probed and missed.  That is all it
+    promises: a [probe] need not be monotone in the deadline (the
+    RESSCHEDDL heuristics are not), so a smaller deadline it was never
+    asked about may still be met.  For a [probe] whose feasibility is a
     threshold [t], the answer is [lo'] when [t <= lo'] and otherwise lies
     in [[t, t + resolution)].  No deadline is probed twice.  Each probe
     counts in [deadline.tightest.probes].  Raises [Invalid_argument] if
@@ -111,8 +144,10 @@ val tightest :
   Mp_dag.Dag.t ->
   (int * Mp_cpa.Schedule.t) option
 (** [tightest algo env dag] is [search ~lo:(lower_bound env dag) algo]:
-    the smallest deadline the algorithm can meet, to [search]'s default
-    60 s resolution.  Pass a prepared closure
+    the tightest deadline the algorithm meets, to [search]'s default 60 s
+    resolution, with {!search}'s guarantee — the answer is met, and
+    unless it is [max 1 (lower_bound env dag)], a deadline less than 60 s
+    below it was missed.  Pass a prepared closure
     ([Deadline.aggressive a env dag], [Algo.deadline.prepare]), so every
     probe reuses one preparation.
 

@@ -11,8 +11,12 @@
     distinct-duration processor count up to the site's (translated) bound
     is considered, and the ⟨site, processors, start⟩ triple with the
     earliest completion wins (ties: fewer processors, then lower site
-    index).  Inter-site data transfers are, like all communication in the
-    paper, considered absorbed in the tasks' sequential fractions.
+    index).  Both passes make each decision with the homogeneous
+    schedulers' own kernels, {!Ressched.place} forward and
+    {!Deadline.place_latest} backward, over the grid's site calendars, so
+    a one-site grid at speed 1 schedules exactly as they do.  Inter-site
+    data transfers are, like all communication in the paper, considered
+    absorbed in the tasks' sequential fractions.
 
     As in the homogeneous case, bounding allocations by CPA values
     ([HBD_CPAR], computed against historically {e available} speed-weighted
@@ -52,8 +56,8 @@ val deadline : ?bd:bound_method -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> deadlin
     rebuilding it per probe. *)
 
 val tightest : ?bd:bound_method -> Mp_platform.Grid.t -> Mp_dag.Dag.t -> (int * t) option
-(** The smallest feasible deadline of {!deadline}, found by
-    {!Deadline.search} (60 s resolution) from the critical-path length
+(** The tightest deadline {!deadline} meets, found by {!Deadline.search}
+    (60 s resolution, with its guarantee) from the critical-path length
     with every task on its fastest site at full size. *)
 
 val validate : Mp_platform.Grid.t -> Mp_dag.Dag.t -> t -> (unit, string) result

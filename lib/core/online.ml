@@ -13,10 +13,10 @@ let schedule (env : Env.t) ~events dag =
   let bounds = Bound.bounds ~cpa BD_CPAR env dag in
   let cands =
     Array.init (Dag.n dag) (fun i ->
-        Mp_dag.Task.candidates (Dag.task dag i) ~max_np:(max 1 bounds.(i)))
+        [| Mp_dag.Task.candidates (Dag.task dag i) ~max_np:(Int.max 1 bounds.(i)) |])
   in
   let slots = Array.make (Dag.n dag) ({ start = 0; finish = 0; procs = 0 } : Schedule.slot) in
-  let cal = ref env.calendar in
+  let cals = [| env.calendar |] in
   let granted = ref [] in
   Array.iteri
     (fun k i ->
@@ -26,9 +26,9 @@ let schedule (env : Env.t) ~events dag =
             match ev with
             | Reserve { start; dur; procs } when dur >= 1 && procs >= 1 ->
                 let r = Reservation.make ~start ~finish:(start + dur) ~procs in
-                (match Calendar.reserve_opt !cal r with
+                (match Calendar.reserve_opt cals.(0) r with
                 | Some c ->
-                    cal := c;
+                    cals.(0) <- c;
                     Mp_obs.Counter.incr c_granted;
                     Mp_forensics.Journal.grant ~start:r.start ~finish:r.finish ~procs:r.procs
                       ~granted:true;
@@ -46,13 +46,13 @@ let schedule (env : Env.t) ~events dag =
                 ())
           events.(k);
       let ready =
-        Array.fold_left (fun acc j -> max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
+        Array.fold_left (fun acc j -> Int.max acc slots.(j).Schedule.finish) 0 (Dag.preds dag i)
       in
-      let s, fin, np =
-        Ressched.place ~kind:Mp_forensics.Journal.Online_forward !cal (Dag.task dag i)
+      let _, s, fin, np =
+        Ressched.place ~kind:Mp_forensics.Journal.Online_forward cals (Dag.task dag i)
           ~ready ~cands:cands.(i)
       in
-      cal := Calendar.reserve !cal (Reservation.make ~start:s ~finish:fin ~procs:np);
+      cals.(0) <- Calendar.reserve cals.(0) (Reservation.make ~start:s ~finish:fin ~procs:np);
       slots.(i) <- { start = s; finish = fin; procs = np })
     order;
   ({ Schedule.slots }, List.rev !granted)

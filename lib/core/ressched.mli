@@ -11,7 +11,7 @@
       reservations and previously placed tasks, and reserve it.
 
     Ties on completion time are broken toward fewer processors (cheaper),
-    then earlier start.
+    then the lower site (see {!place}).
 
     [BL_x_BD_y] names the 16 combinations; the paper evaluates 12 of them
     plus the BD_HALF strawman. *)
@@ -35,17 +35,28 @@ val name : bl:Bottom_level.method_ -> bd:Bound.method_ -> string
 
 val place :
   ?kind:Mp_forensics.Journal.kind ->
-  Mp_platform.Calendar.t ->
+  Mp_platform.Calendar.t array ->
   Mp_dag.Task.t ->
   ready:int ->
-  cands:Mp_dag.Task.candidates ->
-  int * int * int
-(** One earliest-completion placement decision on a calendar: the
-    ⟨start, finish, processors⟩ triple, over the
-    task's candidate processor counts [cands] (from
-    {!Mp_dag.Task.candidates}), with the earliest completion at or after
-    [ready], ties toward fewer processors.  Exposed for {!Online}, which
-    shares the placement rule but interleaves competing reservations
-    with the placements.  [kind] (default [Forward]) only tags the
-    {!Mp_forensics.Journal} entry when journaling is on; it never
-    affects the decision.  The caller reserves the returned slot. *)
+  cands:Mp_dag.Task.candidates array ->
+  int * int * int * int
+(** The one earliest-completion placement decision, over one calendar
+    per site: [place cals task ~ready ~cands] is the
+    ⟨site, start, finish, processors⟩ with the earliest completion at or
+    after [ready] among every site [s]'s candidate processor counts
+    [cands.(s)] (from {!Mp_dag.Task.candidates}, whose [durs] may be
+    site-scaled) on [cals.(s)].  Sites are scanned in index order, each
+    by descending processor count, and a later candidate wins only with
+    an earlier completion or, at equal completion, fewer processors: ties
+    go to fewer processors, then the lower site.  {!schedule} and
+    {!Online} pass one site; {!Hressched} passes its grid.
+
+    Each site's scan stops early once no remaining candidate can win,
+    and the best fit so far bounds the calendar queries of every later
+    candidate; neither changes the decision.  Counts in
+    [ressched.tasks_placed] and [ressched.early_cuts], inside the
+    [ressched.place] span.  With journaling on, the placement is one
+    {!Mp_forensics.Journal} entry, whose bound and candidate count sum
+    over the sites, tagged [kind] (default [Forward]); [kind] never
+    affects the decision.  The caller reserves the returned slot on
+    [cals.(site)]. *)

@@ -786,6 +786,113 @@ let prop_bd_cpar_cpu_not_more_than_bd_all =
       total BD_CPAR <= total BD_ALL +. 1e-6)
 
 (* ------------------------------------------------------------------ *)
+(* The two placement kernels against an exhaustive scan: every ⟨site,
+   candidate⟩ asked with an unbounded query, the winner taken in a
+   lexicographic order.  Random calendars on 1-3 sites, site speeds that
+   scale the candidates' durations, random candidate bounds, ready times
+   and deadlines, with the journal off and on.  Ties are made common:
+   half the sites are empty and speeds come from a short list, so two
+   sites often offer the same fit, and fast sites round neighbouring
+   durations to the same value — so the early cuts, the bounded queries
+   and both tie rules are all exercised. *)
+
+let prop_kernels_match_exhaustive_scan =
+  QCheck.Test.make ~name:"placement kernels match an exhaustive scan" ~count:300 arb_seed
+    (fun seed ->
+      let rng = Rng.create (seed + 9000) in
+      let n_sites = 1 + Rng.int rng 3 in
+      let cals =
+        Array.init n_sites (fun _ ->
+            let procs = 2 + Rng.int rng 30 in
+            let rec add cal k =
+              if k = 0 then cal
+              else
+                let start = Rng.int rng 50_000 in
+                let r =
+                  Reservation.make ~start ~finish:(start + 60 + Rng.int rng 8_000)
+                    ~procs:(1 + Rng.int rng procs)
+                in
+                add (Option.value (Calendar.reserve_opt cal r) ~default:cal) (k - 1)
+            in
+            add (Calendar.create ~procs) (if Rng.bool rng then 0 else Rng.int rng 25))
+      in
+      let task =
+        Task.make ~id:0
+          ~seq:(float_of_int (60 + Rng.int rng (if Rng.bool rng then 600 else 20_000)))
+          ~alpha:(Rng.float rng 0.5)
+      in
+      let cands =
+        Array.map
+          (fun cal ->
+            let speed = [| 0.5; 1.; 2.; 3. |].(Rng.int rng 4) in
+            let c = Task.candidates task ~max_np:(1 + Rng.int rng (Calendar.procs cal)) in
+            let scale np = max 1 (int_of_float (ceil (Task.exec_time_f task np /. speed))) in
+            { c with Task.durs = Array.map scale c.Task.nps })
+          cals
+      in
+      (* every fit, as (site, start, finish, procs) *)
+      let fits query =
+        List.concat
+          (List.init n_sites (fun site ->
+               let { Task.nps; durs; _ } = cands.(site) in
+               List.filter_map
+                 (fun c ->
+                   Option.map
+                     (fun s -> (site, s, s + durs.(c), nps.(c)))
+                     (query cals.(site) ~procs:nps.(c) ~dur:durs.(c)))
+                 (List.init (Array.length nps) Fun.id)))
+      in
+      let best key = function
+        | [] -> None
+        | f :: fs -> Some (List.fold_left (fun a b -> if compare (key b) (key a) < 0 then b else a) f fs)
+      in
+      let both f = (f (), fst (Mp_forensics.Journal.record f)) in
+      List.for_all
+        (fun _ ->
+          let ready = Rng.int rng 50_000 and dl = Rng.int rng 60_000 in
+          let want_fwd =
+            best
+              (fun (site, _, fin, np) -> (fin, np, site))
+              (fits (fun cal -> Calendar.earliest_fit cal ~after:ready))
+          in
+          let want_bwd =
+            best
+              (fun (site, s, _, np) -> (-s, np, site))
+              (fits (fun cal -> Calendar.latest_fit cal ~earliest:0 ~finish_by:dl))
+          in
+          let fwd, fwd_j = both (fun () -> Ressched.place cals task ~ready ~cands) in
+          let bwd, bwd_j = both (fun () -> Deadline.place_latest cals task ~dl ~cands) in
+          Some fwd = want_fwd && Some fwd_j = want_fwd && bwd = want_bwd && bwd_j = want_bwd)
+        (List.init 10 Fun.id))
+
+(* ------------------------------------------------------------------ *)
+(* What the tightest-deadline search guarantees for any probe, here the
+   real (not monotone) RESSCHEDDL algorithms: the answer is met, and
+   unless it is the search's first deadline, some deadline it probed
+   within the resolution below the answer was missed. *)
+
+let prop_tightest_answer_met_and_tight =
+  QCheck.Test.make ~name:"tightest is met, with a miss within 60 s below" ~count:30 arb_seed
+    (fun seed ->
+      let env = busy_env seed in
+      let dag = random_dag ~n:10 (seed + 10_000) in
+      let lo = max 1 (Deadline.lower_bound env dag) in
+      List.for_all
+        (fun (a : Algo.deadline) ->
+          let prepared = a.prepare env dag and missed = ref [] in
+          let probe ~deadline =
+            let r = prepared ~deadline in
+            if r = None then missed := deadline :: !missed;
+            r
+          in
+          match Deadline.tightest probe env dag with
+          | None -> true
+          | Some (k, sched) ->
+              Result.is_ok (Schedule.validate dag ~base:env.calendar ~deadline:k sched)
+              && (k = lo || List.exists (fun m -> m < k && k - m <= 60) !missed))
+        Algo.deadline_all)
+
+(* ------------------------------------------------------------------ *)
 (* The tightest-deadline search contract, against a threshold oracle:
    every deadline from [t] on is feasible.  Small values of [lo] let
    bisection midpoints land on the bracket's doubling points, and
@@ -840,6 +947,8 @@ let () =
         prop_hetero_valid_on_random_grids;
         prop_bd_cpar_cpu_not_more_than_bd_all;
         prop_tightest_threshold;
+        prop_kernels_match_exhaustive_scan;
+        prop_tightest_answer_met_and_tight;
       ]
   in
   Alcotest.run "core"
